@@ -120,7 +120,8 @@ SweepPoint RunOnce(uint32_t threads, uint64_t ops_per_shard) {
   return p;
 }
 
-void RunSweep(uint64_t ops_per_shard, bool quick, BenchJson* json) {
+/// Returns false if any thread count diverged from the 1-thread results.
+bool RunSweep(uint64_t ops_per_shard, bool quick, BenchJson* json) {
   printf("Ablation: host threads vs wall-clock throughput (sharded engine)\n");
   printf("  4 engine shards x %llu ops; virtual-time results must be\n",
          static_cast<unsigned long long>(ops_per_shard));
@@ -130,12 +131,14 @@ void RunSweep(uint64_t ops_per_shard, bool quick, BenchJson* json) {
 
   double base_wall = 0;
   SweepPoint first;
+  bool deterministic = true;
   for (const uint32_t threads : {1u, 2u, 4u, 8u}) {
     const SweepPoint p = RunOnce(threads, ops_per_shard);
     if (threads == 1) {
       base_wall = p.wall_seconds;
       first = p;
     } else if (p.sim_ops != first.sim_ops || p.makespan != first.makespan) {
+      deterministic = false;
       fprintf(stderr,
               "DETERMINISM VIOLATION: threads=%u diverged "
               "(ops %llu vs %llu, makespan %lld vs %lld)\n",
@@ -172,6 +175,7 @@ void RunSweep(uint64_t ops_per_shard, bool quick, BenchJson* json) {
       json->Add(std::move(row));
     }
   }
+  return deterministic;
 }
 
 }  // namespace
@@ -189,6 +193,7 @@ int main(int argc, char** argv) {
   durassd::BenchJson json("ablation_host_parallelism",
                           durassd::BenchJson::PathFromArgs(argc, argv), quick);
   json.Config("ops_per_shard", ops_per_shard);
-  durassd::RunSweep(ops_per_shard, quick, &json);
-  return json.WriteFile() ? 0 : 1;
+  const bool deterministic = durassd::RunSweep(ops_per_shard, quick, &json);
+  const bool written = json.WriteFile();
+  return deterministic && written ? 0 : 1;
 }

@@ -1,8 +1,10 @@
 // google-benchmark microbenchmarks for the hot paths of the library itself
 // (wall-clock cost of the simulator, not virtual-time results): device
-// read/write dispatch, FTL programs, B+-tree operations, CRC, histogram.
+// read/write dispatch, FTL programs and GC, B+-tree operations, CRC,
+// histogram.
 #include <benchmark/benchmark.h>
 
+#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -14,8 +16,10 @@
 #include "db/btree.h"
 #include "db/buffer_pool.h"
 #include "db/wal.h"
+#include "flash/flash_array.h"
 #include "host/sim_file.h"
 #include "kv/kvstore.h"
+#include "ssd/ftl.h"
 #include "ssd/ssd_config.h"
 #include "ssd/ssd_device.h"
 
@@ -77,6 +81,57 @@ void BM_SsdRead(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SsdRead);
+
+// Steady-state random overwrites of a small hot set straight into the FTL,
+// with GC running, while the unpersisted mapping delta holds
+// state.range(0) further entries (sectors written once since the last
+// PersistMapping, as on a durable-cache device that never sees FLUSH
+// CACHE). Their rollback target is "unmapped", so GC never forces them out
+// and the delta stays at range(0) plus the dirty part of the hot set. The
+// per-write cost should not depend on range(0).
+void BM_FtlOverwriteGc(benchmark::State& state) {
+  constexpr Lpn kHot = 512;
+  FlashGeometry g;
+  g.channels = 4;
+  g.packages_per_channel = 1;
+  g.chips_per_package = 1;
+  g.planes_per_chip = 2;
+  g.blocks_per_plane = 256;
+  g.pages_per_block = 64;
+  FlashArray flash(FlashArray::Options{g, /*store_data=*/false});
+  Ftl ftl(&flash, Ftl::Options{});
+  const Lpn parked = static_cast<Lpn>(state.range(0));
+
+  SimTime t = 0;
+  SimTime start = 0;
+  auto write = [&](const std::vector<Ftl::SectorWrite>& w) {
+    if (!ftl.ProgramSectors(t, w, &start, &t).ok()) std::abort();
+  };
+  for (Lpn l = 0; l < kHot; ++l) write({{l, nullptr}});
+  ftl.PersistMapping();
+  for (Lpn l = kHot; l < kHot + parked; l += 2) {
+    write({{l, nullptr}, {l + 1, nullptr}});
+  }
+  Random rng(9);
+  // Run until GC has cycled through the device before timing.
+  for (uint64_t i = 0; i < g.total_pages(); ++i) {
+    write({{rng.Uniform(kHot), nullptr}});
+  }
+  const uint64_t gc_before = ftl.stats().gc_runs;
+
+  for (auto _ : state) write({{rng.Uniform(kHot), nullptr}});
+
+  state.counters["delta"] =
+      static_cast<double>(ftl.dirty_mapping_entries());
+  state.counters["gc_per_op"] =
+      static_cast<double>(ftl.stats().gc_runs - gc_before) /
+      static_cast<double>(state.iterations());
+}
+BENCHMARK(BM_FtlOverwriteGc)
+    ->Arg(1024)
+    ->Arg(16384)
+    ->Arg(65536)
+    ->Iterations(200000);
 
 class BTreeFixture : public benchmark::Fixture {
  public:

@@ -46,6 +46,8 @@ Ftl::Ftl(FlashArray* flash, Options options)
       usable <= 0 ? 0 : static_cast<uint64_t>(usable) / opts_.sector_size;
 
   reverse_.assign(g.total_pages() * sectors_per_page_, kInvalidLpn);
+  delta_by_block_.resize(static_cast<size_t>(g.total_planes()) *
+                         g.blocks_per_plane);
   planes_.resize(g.total_planes());
   for (auto& plane : planes_) {
     plane.free_blocks.reserve(first_log_block_);
@@ -201,6 +203,9 @@ void Ftl::RecordDelta(Lpn lpn, SimTime issue, SimTime start, SimTime done) {
     auto mit = map_.find(lpn);
     const uint64_t old_packed = mit == map_.end() ? kUnmapped : mit->second;
     delta_.emplace(lpn, DeltaRec{old_packed, issue, start, done});
+    if (old_packed != kUnmapped) {
+      delta_by_block_[BlockIdOf(old_packed)].push_back(lpn);
+    }
   } else {
     it->second.last_issue = issue;
     it->second.last_start = start;
@@ -527,11 +532,17 @@ Status Ftl::RelocateLiveSectors(SimTime now, uint32_t plane_idx,
   last_relocation_done_ = now;
   last_relocation_moved_ = 0;
 
-  // Collect live sectors, re-pairing them two per program.
-  std::vector<std::pair<Lpn, std::string>> live;
+  // Read every page that holds a live sector (all reads issue before any
+  // program) and note where each live sector sits in them.
+  struct LiveSector {
+    Lpn lpn;
+    uint32_t page;
+    uint32_t slot;
+  };
+  std::vector<LiveSector> live;
+  std::vector<std::string> pages(g.pages_per_block);
   for (uint32_t p = 0; p < g.pages_per_block; ++p) {
     const Ppn ppn = g.MakePpn(plane_idx, block, p);
-    std::string page;
     bool read_done = false;
     for (uint32_t s = 0; s < sectors_per_page_; ++s) {
       const Lpn lpn = reverse_[ppn * sectors_per_page_ + s];
@@ -539,25 +550,28 @@ Status Ftl::RelocateLiveSectors(SimTime now, uint32_t plane_idx,
       if (!read_done) {
         // An uncorrectable read here is not fatal to the move: the bytes
         // (with their damage) still travel, and host checksums catch it.
-        Status read_st = ReadPageChecked(now, ppn, &page, nullptr);
+        Status read_st = ReadPageChecked(now, ppn, &pages[p], nullptr);
         (void)read_st;
         stats_.gc_reads++;
         read_done = true;
       }
-      live.emplace_back(
-          lpn, page.empty()
-                   ? std::string()
-                   : page.substr(static_cast<size_t>(s) * opts_.sector_size,
-                                 opts_.sector_size));
+      live.push_back({lpn, p, s});
     }
   }
 
+  // Re-pair live sectors per program, copying each one straight from its
+  // source page into the reused destination page buffer.
+  std::string page_data;
   for (size_t i = 0; i < live.size(); i += sectors_per_page_) {
-    std::string page_data;
+    page_data.clear();
     const size_t count = std::min<size_t>(sectors_per_page_, live.size() - i);
     for (size_t j = 0; j < count; ++j) {
-      if (!live[i + j].second.empty()) {
-        page_data.append(live[i + j].second);
+      const std::string& src = pages[live[i + j].page];
+      if (!src.empty()) {
+        page_data.append(src,
+                         static_cast<size_t>(live[i + j].slot) *
+                             opts_.sector_size,
+                         opts_.sector_size);
       }
     }
     SimTime done = 0;
@@ -569,7 +583,7 @@ Status Ftl::RelocateLiveSectors(SimTime now, uint32_t plane_idx,
     last_relocation_done_ = std::max(last_relocation_done_, done);
     last_relocation_moved_ += count;
     for (size_t j = 0; j < count; ++j) {
-      const Lpn lpn = live[i + j].first;
+      const Lpn lpn = live[i + j].lpn;
       // Old slot dies; mapping follows the data. Delta is untouched: a GC
       // move does not change what the host wrote, only where it lives, and
       // rollback targets are handled below.
@@ -587,28 +601,37 @@ Status Ftl::RelocateLiveSectors(SimTime now, uint32_t plane_idx,
 
 void Ftl::ForcePersistDeltaIn(uint32_t plane_idx, uint32_t block) {
   const FlashGeometry& g = flash_->geometry();
+  const uint64_t id = g.MakePpn(plane_idx, block, 0) / g.pages_per_block;
   // Rollback targets living in the block are about to be erased (or
   // retired) for good: a real controller journals the mapping before
   // erasing, so these entries are effectively persisted now and can no
-  // longer roll back.
-  for (auto it = delta_.begin(); it != delta_.end();) {
-    bool drop = false;
-    if (it->second.old_packed != kUnmapped) {
-      const Ppn old_ppn = PpnOf(it->second.old_packed);
-      if (g.PlaneOf(old_ppn) == plane_idx && g.BlockOf(old_ppn) == block) {
-        drop = true;
-      }
+  // longer roll back. The list may name LPNs whose entry has gone or now
+  // points elsewhere; only entries still targeting this block drop.
+  std::vector<Lpn>& lpns = delta_by_block_[id];
+  for (const Lpn lpn : lpns) {
+    auto it = delta_.find(lpn);
+    if (it == delta_.end() || it->second.old_packed == kUnmapped ||
+        BlockIdOf(it->second.old_packed) != id) {
+      continue;
     }
-    if (drop) {
-      stats_.forced_persists++;
-      it = delta_.erase(it);
-    } else {
-      ++it;
-    }
+    stats_.forced_persists++;
+    delta_.erase(it);
   }
+  lpns.clear();
 }
 
-void Ftl::PersistMapping() { delta_.clear(); }
+void Ftl::ClearDelta() {
+  // Stale LPNs in lists no live entry points to survive; they are harmless
+  // and go when their block is next reclaimed.
+  for (const auto& [lpn, rec] : delta_) {
+    if (rec.old_packed != kUnmapped) {
+      delta_by_block_[BlockIdOf(rec.old_packed)].clear();
+    }
+  }
+  delta_.clear();
+}
+
+void Ftl::PersistMapping() { ClearDelta(); }
 
 std::vector<Lpn> Ftl::DirtyMappingLpns() const {
   std::vector<Lpn> out;
@@ -644,7 +667,7 @@ void Ftl::PowerCutRollback(SimTime t, PowerCutExposure exposure) {
       }
     }
   }
-  delta_.clear();
+  ClearDelta();
 }
 
 Ppn Ftl::DumpAreaPpn(uint32_t index) const {

@@ -235,6 +235,10 @@ class Ftl {
   static uint32_t SlotOf(uint64_t packed) {
     return static_cast<uint32_t>(packed % 4);
   }
+  /// Global block id (plane * blocks_per_plane + block) of a packed slot.
+  uint64_t BlockIdOf(uint64_t packed) const {
+    return PpnOf(packed) / flash_->geometry().pages_per_block;
+  }
 
   /// Returns the next erased physical page on the round-robin plane,
   /// running GC when the plane is short on free blocks. `for_gc` allocs
@@ -264,7 +268,12 @@ class Ftl {
   /// retirement), then force-persists delta entries whose rollback target
   /// lives inside it.
   Status RelocateLiveSectors(SimTime now, uint32_t plane, uint32_t block);
+  /// Drops the delta entries whose rollback target lives in the block.
+  /// Visits only that block's delta_by_block_ list.
   void ForcePersistDeltaIn(uint32_t plane, uint32_t block);
+  /// Empties delta_ and the delta_by_block_ lists of its entries, in time
+  /// proportional to the delta rather than to the device.
+  void ClearDelta();
   /// Marks a block for retirement after a program failure. Actual
   /// retirement (relocation + RetireBlock) happens in DrainRetirements so
   /// a failure during relocation cannot recurse.
@@ -319,6 +328,11 @@ class Ftl {
   /// Flat-indexed as ppn * sectors_per_page_ + slot.
   std::vector<Lpn> reverse_;
   std::unordered_map<Lpn, DeltaRec> delta_;
+  /// Delta LPNs indexed by the global block of their old_packed, appended
+  /// when an entry is created. A list may hold stale LPNs (the entry was
+  /// dropped, or re-recorded with another target), so readers re-check
+  /// each one against delta_.
+  std::vector<std::vector<Lpn>> delta_by_block_;
   std::vector<PlaneAlloc> planes_;
   uint32_t rr_plane_ = 0;
   Stats stats_;

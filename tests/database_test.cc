@@ -197,9 +197,19 @@ TEST(DatabaseTest, CheckpointAndReopenCleanly) {
 // ---------------------------------------------------------------------------
 
 struct CrashParam {
+  CrashParam(bool durable, bool barriers, bool dwb, uint32_t page)
+      : durable_cache(durable),
+        write_barriers(barriers),
+        double_write(dwb),
+        page_size(page) {}
+
   bool durable_cache;
   bool write_barriers;
   bool double_write;
+  // The pad byte is a named, zeroed member: gtest prints this parameter as
+  // its raw bytes in each test's name, so an uninitialised pad byte made the
+  // test names differ from run to run.
+  uint8_t reserved = 0;
   uint32_t page_size;
 };
 

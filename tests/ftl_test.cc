@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -25,6 +26,24 @@ class FtlTest : public ::testing::Test {
     Status s = ftl_.ProgramSectors(now, w, &start, &d);
     if (done != nullptr) *done = d;
     return s;
+  }
+
+  /// Issues `writes` one-sector writes round-robin over the 20 LPNs from
+  /// `first` (300 writes run GC on every plane); returns the completion
+  /// time of the last one. As 20 is a multiple of the 4 planes, each LPN
+  /// always lands on the same plane.
+  SimTime Churn(SimTime t, Lpn first, int writes) {
+    for (int i = 0; i < writes; ++i) {
+      SimTime done = 0;
+      EXPECT_TRUE(WriteOne(t, first + i % 20, SectorData('z'), &done).ok());
+      t = done;
+    }
+    return t;
+  }
+
+  bool IsDirty(Lpn lpn) const {
+    const std::vector<Lpn> dirty = ftl_.DirtyMappingLpns();
+    return std::find(dirty.begin(), dirty.end(), lpn) != dirty.end();
   }
 
   FlashArray flash_;
@@ -200,24 +219,117 @@ TEST_F(FtlTest, GcForcesPersistenceOfReclaimedRollbackTargets) {
   // Persist a version, then churn enough to force the old physical page
   // through GC. Rollback must NOT resurrect a mapping into an erased block.
   SimTime done = 0;
-  ASSERT_TRUE(WriteOne(0, 0, SectorData('v'), &done).ok());
+  ASSERT_TRUE(WriteOne(0, 0, SectorData('v'), &done).ok());  // Plane 0, blk 0.
   ftl_.PersistMapping();
   ASSERT_TRUE(WriteOne(done, 0, SectorData('w'), &done).ok());
 
-  SimTime t = done;
-  for (int round = 0; round < 300; ++round) {
-    const Lpn l = 1 + (round % 20);
-    ASSERT_TRUE(WriteOne(t, l, SectorData('z'), &done).ok());
-    t = done;
-  }
-  ASSERT_GT(ftl_.stats().gc_runs, 0u);
+  const SimTime t = Churn(done, 1, 300);
+  ASSERT_GT(flash_.erase_count(0, 0), 0u);  // The block holding 'v' is gone.
+  EXPECT_GE(ftl_.stats().forced_persists, 1u);
+  EXPECT_FALSE(IsDirty(0));
 
   ftl_.PowerCutRollback(t + kSecond, Ftl::PowerCutExposure::kNone);
   std::string out;
   ftl_.ReadSector(0, 0, &out);
-  // Either the new value survived (force-persisted by GC) or the old one
-  // was restored — never garbage/zeros.
-  EXPECT_TRUE(out == SectorData('w') || out == SectorData('v'));
+  EXPECT_EQ(out, SectorData('w'));
+}
+
+TEST_F(FtlTest, GcLeavesRollbackTargetsOutsideTheVictim) {
+  // Fill block 0 of every plane with cold data (lpn l lands on plane l % 4)
+  // and persist it. Overwriting lpn 0 leaves seven live pages in plane 0's
+  // block 0, more than any hot block holds, so GC never picks it.
+  SimTime t = 0;
+  for (Lpn l = 0; l < 32; ++l) {
+    ASSERT_TRUE(WriteOne(t, l, SectorData('c'), &t).ok());
+  }
+  ftl_.PersistMapping();
+  ASSERT_TRUE(WriteOne(t, 0, SectorData('n'), &t).ok());
+
+  t = Churn(t, 100, 300);
+  ASSERT_GT(ftl_.stats().gc_erases, 0u);
+  ASSERT_EQ(flash_.erase_count(0, 0), 0u);
+  EXPECT_EQ(ftl_.stats().forced_persists, 0u);
+  EXPECT_TRUE(IsDirty(0));
+
+  ftl_.PowerCutRollback(t + kSecond, Ftl::PowerCutExposure::kNone);
+  std::string out;
+  ftl_.ReadSector(0, 0, &out);
+  EXPECT_EQ(out, SectorData('c'));  // Lost write: persisted version back.
+  EXPECT_FALSE(ftl_.IsMapped(100));  // Never persisted.
+}
+
+TEST_F(FtlTest, GcAfterPersistMappingForcesNothing) {
+  // Write k lands on plane k % 4. 'v' goes to plane 0's block 0 and 'w' to
+  // plane 1's block 0; cold data fills both blocks, then plane 0's cold
+  // lpns are rewritten so that only plane 0's block 0 is all dead.
+  SimTime t = 0;
+  ASSERT_TRUE(WriteOne(t, 0, SectorData('v'), &t).ok());
+  ftl_.PersistMapping();
+  ASSERT_TRUE(WriteOne(t, 0, SectorData('w'), &t).ok());
+  for (Lpn l = 1; l <= 30; ++l) {
+    ASSERT_TRUE(WriteOne(t, l, SectorData('c'), &t).ok());
+  }
+  for (Lpn l = 3; l <= 27; l += 4) {
+    ASSERT_TRUE(WriteOne(t, l, SectorData('d'), &t).ok());
+  }
+  ftl_.PersistMapping();  // 'w' is stable; no entry targets 'v' any more.
+  // A fresh entry for the same LPN, whose rollback target is 'w'.
+  ASSERT_TRUE(WriteOne(t, 0, SectorData('x'), &t).ok());
+
+  t = Churn(t, 100, 300);
+  ASSERT_GT(flash_.erase_count(0, 0), 0u);
+  ASSERT_EQ(flash_.erase_count(1, 0), 0u);
+  EXPECT_EQ(ftl_.stats().forced_persists, 0u);
+  EXPECT_TRUE(IsDirty(0));
+
+  ftl_.PowerCutRollback(t + kSecond, Ftl::PowerCutExposure::kNone);
+  std::string out;
+  ftl_.ReadSector(0, 0, &out);
+  EXPECT_EQ(out, SectorData('w'));
+}
+
+TEST_F(FtlTest, GcAfterPowerCutRollbackForcesNothing) {
+  SimTime done = 0;
+  ASSERT_TRUE(WriteOne(0, 0, SectorData('v'), &done).ok());  // Plane 0, blk 0.
+  ftl_.PersistMapping();
+  ASSERT_TRUE(WriteOne(done, 0, SectorData('w'), &done).ok());
+  // A durable-cache cut after the program issued keeps 'w' and empties the
+  // delta.
+  ftl_.PowerCutRollback(done, Ftl::PowerCutExposure::kIssued);
+  EXPECT_EQ(ftl_.dirty_mapping_entries(), 0u);
+
+  const SimTime t = Churn(done, 1, 300);
+  ASSERT_GT(flash_.erase_count(0, 0), 0u);
+  EXPECT_EQ(ftl_.stats().forced_persists, 0u);
+
+  ftl_.PowerCutRollback(t + kSecond, Ftl::PowerCutExposure::kNone);
+  std::string out;
+  ftl_.ReadSector(0, 0, &out);
+  EXPECT_EQ(out, SectorData('w'));
+}
+
+TEST_F(FtlTest, ForcedPersistCountsEachDeltaEntryOnce) {
+  // lpns 0, 4, ..., 28 all have their persisted version in plane 0's
+  // block 0. Each is then rewritten three times while still dirty.
+  SimTime t = 0;
+  for (Lpn l = 0; l < 32; ++l) {
+    ASSERT_TRUE(WriteOne(t, l, SectorData('c'), &t).ok());
+  }
+  ftl_.PersistMapping();
+  for (int round = 0; round < 3; ++round) {
+    for (Lpn l = 0; l < 32; l += 4) {
+      ASSERT_TRUE(WriteOne(t, l, SectorData('a' + round), &t).ok());
+    }
+  }
+
+  t = Churn(t, 100, 300);
+  ASSERT_GT(flash_.erase_count(0, 0), 0u);
+  EXPECT_EQ(ftl_.stats().forced_persists, 8u);
+  for (Lpn l = 0; l < 32; l += 4) EXPECT_FALSE(IsDirty(l)) << "lpn " << l;
+
+  // Later GC runs find nothing left to force.
+  Churn(t, 100, 300);
+  EXPECT_EQ(ftl_.stats().forced_persists, 8u);
 }
 
 // --------------------------- Dump area ------------------------------------
