@@ -14,6 +14,9 @@
 //     copy rate, and `rebuild_foreground_floor` = foreground IOPS during
 //     rebuild / foreground IOPS with no rebuild running (higher is
 //     better, regression-guarded at the gentlest pacing).
+//
+// A failed read, write or rebuild start would truncate a sample, so it
+// fails the run (exit 1) after the JSON is written.
 #include <cstdio>
 #include <cstring>
 #include <memory>
@@ -44,6 +47,7 @@ uint64_t Rng(uint64_t* state) {
 }
 
 struct FailoverResult {
+  bool ok = true;  ///< False if any read failed (the sample is truncated).
   Histogram healthy;
   Histogram failed_over;
   SimTime discovery_latency = 0;
@@ -66,7 +70,11 @@ FailoverResult RunFailoverReads(uint64_t ops) {
   for (uint64_t i = 0; i < ops; ++i) {
     const Lpn lpn = Rng(&rng) % span;
     const auto r = arr->Read(t, lpn, 1, &out);
-    if (!r.status.ok()) break;
+    if (!r.status.ok()) {
+      std::fprintf(stderr, "healthy read: %s\n", r.status.ToString().c_str());
+      res.ok = false;
+      break;
+    }
     res.healthy.Record(r.done - t);
     t = r.done;
   }
@@ -77,13 +85,24 @@ FailoverResult RunFailoverReads(uint64_t ops) {
   {
     const Lpn lpn = Rng(&rng) % span;
     const auto r = arr->Read(t + 2, lpn, 1, &out);
-    if (r.status.ok()) res.discovery_latency = r.done - (t + 2);
+    if (r.status.ok()) {
+      res.discovery_latency = r.done - (t + 2);
+    } else {
+      std::fprintf(stderr, "discovery read: %s\n",
+                   r.status.ToString().c_str());
+      res.ok = false;
+    }
     t = r.done;
   }
   for (uint64_t i = 0; i < ops; ++i) {
     const Lpn lpn = Rng(&rng) % span;
     const auto r = arr->Read(t, lpn, 1, &out);
-    if (!r.status.ok()) break;
+    if (!r.status.ok()) {
+      std::fprintf(stderr, "failed-over read: %s\n",
+                   r.status.ToString().c_str());
+      res.ok = false;
+      break;
+    }
     res.failed_over.Record(r.done - t);
     t = r.done;
   }
@@ -91,6 +110,7 @@ FailoverResult RunFailoverReads(uint64_t ops) {
 }
 
 struct RebuildResult {
+  bool ok = true;  ///< False if the rebuild or any write failed.
   double foreground_iops = 0;
   double rebuild_mb_per_sec = 0;
   uint64_t copied_sectors = 0;
@@ -116,20 +136,27 @@ RebuildResult RunRebuildWindow(uint64_t ops, SimTime interval_ns) {
     const Status s = arr->StartRebuild(t, 0);
     if (!s.ok()) {
       std::fprintf(stderr, "StartRebuild: %s\n", s.ToString().c_str());
-      return {};
+      RebuildResult failed;
+      failed.ok = false;
+      return failed;
     }
   }
 
+  RebuildResult res;
   const SimTime start = t;
   const uint64_t copied0 = arr->stats().rebuild_copied_sectors;
   for (uint64_t i = 0; i < ops; ++i) {
     const Lpn lpn = Rng(&rng) % span;
     const auto w = arr->Write(t, lpn, sector);
-    if (!w.status.ok()) break;
+    if (!w.status.ok()) {
+      std::fprintf(stderr, "foreground write: %s\n",
+                   w.status.ToString().c_str());
+      res.ok = false;
+      break;
+    }
     t = w.done;
   }
   const SimTime window = t - start;
-  RebuildResult res;
   res.copied_sectors = arr->stats().rebuild_copied_sectors - copied0;
   if (window > 0) {
     res.foreground_iops =
@@ -143,7 +170,8 @@ RebuildResult RunRebuildWindow(uint64_t ops, SimTime interval_ns) {
 
 double Us(SimTime ns) { return static_cast<double>(ns) / 1000.0; }
 
-void RunFailoverBench(uint64_t ops, BenchJson* json) {
+/// Returns false if any read failed.
+bool RunFailoverBench(uint64_t ops, BenchJson* json) {
   printf("Mirrored-pair failover: 4KB random read latency\n");
   const FailoverResult r = RunFailoverReads(ops);
   const double healthy_p99 = Us(r.healthy.Percentile(0.99));
@@ -161,12 +189,15 @@ void RunFailoverBench(uint64_t ops, BenchJson* json) {
         .Value("failover_read_p99_us", failover_p99);
     json->Add(std::move(row));
   }
+  return r.ok;
 }
 
-void RunRebuildBench(uint64_t ops, BenchJson* json) {
+/// Returns false if any rebuild window failed.
+bool RunRebuildBench(uint64_t ops, BenchJson* json) {
   printf("\nOnline rebuild interference: 4KB random write IOPS while the\n"
          "spare copies, vs the rebuild pacing interval\n");
   const RebuildResult base = RunRebuildWindow(ops, 0);
+  bool ok = base.ok;
   printf("  %-14s %12.0f IOPS (no rebuild)\n", "degraded", base.foreground_iops);
   printf("  %-14s %12s %14s %10s\n", "interval", "fg IOPS", "rebuild MB/s",
          "floor");
@@ -174,6 +205,7 @@ void RunRebuildBench(uint64_t ops, BenchJson* json) {
                                     1 * kMillisecond};
   for (const SimTime interval : kIntervals) {
     const RebuildResult r = RunRebuildWindow(ops, interval);
+    ok = ok && r.ok;
     const double floor = base.foreground_iops > 0
                              ? r.foreground_iops / base.foreground_iops
                              : 0;
@@ -198,6 +230,7 @@ void RunRebuildBench(uint64_t ops, BenchJson* json) {
       json->Add(std::move(row));
     }
   }
+  return ok;
 }
 
 }  // namespace
@@ -218,7 +251,8 @@ int main(int argc, char** argv) {
                           durassd::BenchJson::PathFromArgs(argc, argv), quick);
   json.Config("read_ops", read_ops);
   json.Config("write_ops", write_ops);
-  durassd::RunFailoverBench(read_ops, &json);
-  durassd::RunRebuildBench(write_ops, &json);
-  return json.WriteFile() ? 0 : 1;
+  const bool reads_ok = durassd::RunFailoverBench(read_ops, &json);
+  const bool rebuild_ok = durassd::RunRebuildBench(write_ops, &json);
+  const bool written = json.WriteFile();
+  return reads_ok && rebuild_ok && written ? 0 : 1;
 }

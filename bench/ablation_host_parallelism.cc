@@ -1,17 +1,20 @@
-// Ablation (DESIGN.md §13): host-parallelism sweep over the sharded
-// virtual-time engine. Four independent engine shards (each a full
+// Ablation (DESIGN.md §13): host-parallelism sweep over disjoint
+// simulation stacks. Four independent engine shards (each a full
 // device -> file system -> WAL -> buffer pool -> B+-tree stack) run the
-// same deterministic upsert workload; the sweep varies only the number of
-// HOST threads the epoch-barrier executor may use. Virtual-time results
-// (ops, makespan) are bit-identical across the sweep — that is the
-// executor's determinism contract — while wall-clock throughput
-// (sim_ops_per_wall_second) is the thing host parallelism is allowed to
-// change. Wall-clock is only emitted in full runs: under --quick (CI) the
-// workload is too small for stable timing, and the regression guard would
-// flap on scheduler noise.
+// same deterministic upsert workload, each as one ThreadPool job that runs
+// ClientScheduler::Run to completion; the sweep varies only the number of
+// HOST threads in the pool. Virtual-time results (ops, makespan) are
+// bit-identical across the sweep — a shard never touches another shard's
+// stack — while wall-clock throughput (sim_ops_per_wall_second) is the
+// thing host parallelism is allowed to change. Wall-clock is only emitted
+// in full runs: under --quick (CI) the workload is too small for stable
+// timing, and the regression guard would flap on scheduler noise. Any
+// failed Put fails the run.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -21,7 +24,8 @@
 #include "db/buffer_pool.h"
 #include "db/wal.h"
 #include "host/sim_file.h"
-#include "sim/sim_executor.h"
+#include "sim/client_scheduler.h"
+#include "sim/thread_pool.h"
 #include "ssd/ssd_config.h"
 #include "ssd/ssd_device.h"
 
@@ -48,6 +52,7 @@ struct EngineShard {
   BumpAllocator alloc;
   std::unique_ptr<BTree> tree;
   uint64_t op_seq = 0;
+  uint64_t failed_ops = 0;
 
   explicit EngineShard(uint32_t seed) {
     SsdConfig cfg = SsdConfig::DuraSsd();
@@ -78,7 +83,7 @@ struct EngineShard {
     const uint64_t k = op_seq++ % 4096;
     std::string key = "key-" + std::to_string(k);
     std::string value = "v" + std::to_string(op_seq) + std::string(90, 'x');
-    (void)tree->Put(io, m, key, value);
+    if (!tree->Put(io, m, key, value).ok()) failed_ops++;
     const SimTime floor = now + 5 * kMicrosecond;
     return io.now > floor ? io.now : floor;
   }
@@ -86,59 +91,69 @@ struct EngineShard {
 
 struct SweepPoint {
   uint64_t sim_ops = 0;
+  uint64_t failed_ops = 0;
   SimTime makespan = 0;
   double wall_seconds = 0;
 };
 
 SweepPoint RunOnce(uint32_t threads, uint64_t ops_per_shard) {
   constexpr uint32_t kShards = 4;
-  SimExecutor::Options opts;
-  opts.epoch_ns = 100 * kMicrosecond;
-  opts.host_threads = threads;
   std::vector<std::unique_ptr<EngineShard>> engines;
-  std::vector<ShardedExecutor::Shard> shards;
+  std::vector<ClientScheduler::RunResult> results(kShards);
+  std::vector<std::function<void()>> thunks;
   for (uint32_t s = 0; s < kShards; ++s) {
     engines.push_back(std::make_unique<EngineShard>(s + 1));
     EngineShard* e = engines.back().get();
-    shards.push_back({/*num_clients=*/4, ops_per_shard,
-                      [e](uint32_t client, SimTime now) {
-                        (void)client;
-                        return e->Op(now);
-                      }});
+    ClientScheduler::RunResult* r = &results[s];
+    thunks.push_back([e, r, ops_per_shard] {
+      *r = ClientScheduler::Run(/*num_clients=*/4, ops_per_shard,
+                                /*start_time=*/0,
+                                [e](uint32_t client, SimTime now) {
+                                  (void)client;
+                                  return e->Op(now);
+                                });
+    });
   }
-  ShardedExecutor xe(opts, std::move(shards));
+  ThreadPool pool(threads);
   const auto t0 = std::chrono::steady_clock::now();
-  const auto results = xe.RunShards(/*start_time=*/0);
+  pool.RunBatch(thunks);
   const auto t1 = std::chrono::steady_clock::now();
 
   SweepPoint p;
-  for (const auto& r : results) {
-    p.sim_ops += r.ops;
-    p.makespan = std::max(p.makespan, r.makespan);
+  for (uint32_t s = 0; s < kShards; ++s) {
+    p.sim_ops += results[s].ops;
+    p.makespan = std::max(p.makespan, results[s].makespan);
+    p.failed_ops += engines[s]->failed_ops;
   }
   p.wall_seconds = std::chrono::duration<double>(t1 - t0).count();
   return p;
 }
 
-/// Returns false if any thread count diverged from the 1-thread results.
+/// Returns false if any thread count diverged from the 1-thread results or
+/// any operation failed.
 bool RunSweep(uint64_t ops_per_shard, bool quick, BenchJson* json) {
-  printf("Ablation: host threads vs wall-clock throughput (sharded engine)\n");
+  printf("Ablation: host threads vs wall-clock throughput (disjoint stacks)\n");
   printf("  4 engine shards x %llu ops; virtual-time results must be\n",
          static_cast<unsigned long long>(ops_per_shard));
-  printf("  identical across the sweep (executor determinism contract)\n");
+  printf("  identical across the sweep (shards share no state)\n");
   printf("  %-8s %12s %14s %14s %10s\n", "threads", "sim_ops",
          "makespan_ms", "wall_ms", "speedup");
 
   double base_wall = 0;
   SweepPoint first;
-  bool deterministic = true;
+  bool ok = true;
   for (const uint32_t threads : {1u, 2u, 4u, 8u}) {
     const SweepPoint p = RunOnce(threads, ops_per_shard);
+    if (p.failed_ops != 0) {
+      ok = false;
+      fprintf(stderr, "FAILED OPS: threads=%u had %llu failed Puts\n",
+              threads, static_cast<unsigned long long>(p.failed_ops));
+    }
     if (threads == 1) {
       base_wall = p.wall_seconds;
       first = p;
     } else if (p.sim_ops != first.sim_ops || p.makespan != first.makespan) {
-      deterministic = false;
+      ok = false;
       fprintf(stderr,
               "DETERMINISM VIOLATION: threads=%u diverged "
               "(ops %llu vs %llu, makespan %lld vs %lld)\n",
@@ -175,7 +190,7 @@ bool RunSweep(uint64_t ops_per_shard, bool quick, BenchJson* json) {
       json->Add(std::move(row));
     }
   }
-  return deterministic;
+  return ok;
 }
 
 }  // namespace
@@ -193,7 +208,7 @@ int main(int argc, char** argv) {
   durassd::BenchJson json("ablation_host_parallelism",
                           durassd::BenchJson::PathFromArgs(argc, argv), quick);
   json.Config("ops_per_shard", ops_per_shard);
-  const bool deterministic = durassd::RunSweep(ops_per_shard, quick, &json);
+  const bool ok = durassd::RunSweep(ops_per_shard, quick, &json);
   const bool written = json.WriteFile();
-  return deterministic && written ? 0 : 1;
+  return ok && written ? 0 : 1;
 }

@@ -72,6 +72,7 @@ void RunFioSweep(uint64_t ops, BenchJson* json) {
 }
 
 struct CommitResult {
+  bool opened = false;  ///< False when the database or tree failed to open.
   double commits_per_sec = 0;
   uint64_t acked = 0;
   Wal::Stats wal;
@@ -100,7 +101,12 @@ CommitResult RunCommitters(bool ordered, uint32_t clients, uint64_t ops) {
   }
   std::unique_ptr<Database> db = std::move(*opened);
   auto tree = db->CreateTree(io, "t");
-  if (!tree.ok()) return out;
+  if (!tree.ok()) {
+    fprintf(stderr, "CreateTree failed: %s\n",
+            tree.status().ToString().c_str());
+    return out;
+  }
+  out.opened = true;
 
   const std::string value(120, 'v');
   std::vector<uint32_t> op_count(clients, 0);
@@ -126,13 +132,16 @@ CommitResult RunCommitters(bool ordered, uint32_t clients, uint64_t ops) {
   return out;
 }
 
-void RunCommitSweep(uint64_t ops, BenchJson* json) {
+/// Returns false if any configuration failed to open its database.
+bool RunCommitSweep(uint64_t ops, BenchJson* json) {
   printf("\nAblation: WAL commits/s vs concurrent committers (group commit)\n");
   printf("  %-10s %-4s %12s %12s %12s %10s\n", "queue", "QD", "commits/s",
          "sync groups", "group rides", "max group");
+  bool ok = true;
   for (const bool ordered : {true, false}) {
     for (const uint32_t qd : kDepths) {
       const CommitResult r = RunCommitters(ordered, qd, ops);
+      ok = ok && r.opened;
       printf("  %-10s %-4u %12.0f %12llu %12llu %10llu\n",
              ordered ? "ordered" : "unordered", qd, r.commits_per_sec,
              static_cast<unsigned long long>(r.wal.sync_groups),
@@ -154,6 +163,7 @@ void RunCommitSweep(uint64_t ops, BenchJson* json) {
       }
     }
   }
+  return ok;
 }
 
 }  // namespace
@@ -175,6 +185,7 @@ int main(int argc, char** argv) {
   json.Config("fio_ops", fio_ops);
   json.Config("commit_ops", commit_ops);
   durassd::RunFioSweep(fio_ops, &json);
-  durassd::RunCommitSweep(commit_ops, &json);
-  return json.WriteFile() ? 0 : 1;
+  const bool ok = durassd::RunCommitSweep(commit_ops, &json);
+  const bool written = json.WriteFile();
+  return ok && written ? 0 : 1;
 }

@@ -51,8 +51,8 @@ GUARDED_VALUES = {
     # rebuild scheduler's foreground-throughput floor must not erode.
     "failover_read_p99_us": "lower_is_better",
     "rebuild_foreground_floor": "higher_is_better",
-    # Sharded engine: wall-clock simulation throughput (full runs only;
-    # quick runs omit it because small workloads time too noisily).
+    # Host-parallelism sweep: wall-clock simulation throughput (full runs
+    # only; quick runs omit it because small workloads time too noisily).
     "sim_ops_per_wall_second": "higher_is_better",
     # Tiered cache: the hot-set hit ratio must not erode, and the warm
     # post-recovery rewarm pass must stay flash-fast (the cold arm's row

@@ -3,17 +3,14 @@
 namespace durassd {
 
 MetricCounter* MetricsRegistry::Counter(const std::string& name) {
-  std::lock_guard<std::mutex> lock(reg_mu_);
   return &counters_[name];
 }
 
 MetricGauge* MetricsRegistry::Gauge(const std::string& name) {
-  std::lock_guard<std::mutex> lock(reg_mu_);
   return &gauges_[name];
 }
 
 Histogram* MetricsRegistry::GetHistogram(const std::string& name) {
-  std::lock_guard<std::mutex> lock(reg_mu_);
   return &histograms_[name];
 }
 

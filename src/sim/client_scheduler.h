@@ -2,9 +2,9 @@
 #define DURASSD_SIM_CLIENT_SCHEDULER_H_
 
 #include <cstdint>
+#include <functional>
 
 #include "common/types.h"
-#include "sim/sim_executor.h"
 
 namespace durassd {
 
@@ -24,18 +24,33 @@ namespace durassd {
 /// This replaces the paper's 128 real benchmark threads: deterministic,
 /// seedable, and a few orders of magnitude faster than wall-clock runs.
 ///
-/// Since the SimExecutor refactor this is a thin facade: the loop lives in
-/// SerialExecutor (the default engine, bit-identical to the historical
-/// inline loop), and setting DURASSD_EXECUTOR=sharded in the environment
-/// routes every run through the epoch-barrier ShardedExecutor instead —
-/// same schedule, real host threads (see sim/sim_executor.h).
+/// Threading (DESIGN.md §13): Run drives every client on the calling
+/// thread, and so does everything `fn` touches — one simulation stack, one
+/// thread. Host parallelism runs whole, disjoint stacks side by side, each
+/// calling Run on its own thread (ThreadPool::RunBatch).
 class ClientScheduler {
  public:
   /// Runs one operation for `client` starting at local time `now`; returns
   /// the operation's completion time (>= now).
-  using ClientFn = SimExecutor::ClientFn;
-  using Options = SimExecutor::Options;
-  using RunResult = SimExecutor::RunResult;
+  using ClientFn = std::function<SimTime(uint32_t client, SimTime now)>;
+
+  struct Options {
+    /// Virtual think time between one operation's completion and the
+    /// client's next submission (0 = fully closed loop).
+    SimTime think_time = 0;
+  };
+
+  struct RunResult {
+    uint64_t ops = 0;
+    SimTime makespan = 0;  ///< Virtual time when the last client finished.
+
+    double OpsPerSecond() const {
+      return makespan <= 0
+                 ? 0.0
+                 : static_cast<double>(ops) /
+                       (static_cast<double>(makespan) / kSecond);
+    }
+  };
 
   /// Runs `total_ops` operations spread across `num_clients` clients
   /// starting at `start_time`. Each pop resumes the runnable client with
@@ -43,9 +58,7 @@ class ClientScheduler {
   /// Degenerate inputs (no clients or no ops) return a zero result.
   static RunResult Run(uint32_t num_clients, uint64_t total_ops,
                        SimTime start_time, const ClientFn& fn,
-                       const Options& options) {
-    return RunClients(num_clients, total_ops, start_time, fn, options);
-  }
+                       const Options& options);
 
   static RunResult Run(uint32_t num_clients, uint64_t total_ops,
                        SimTime start_time, const ClientFn& fn) {

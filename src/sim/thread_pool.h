@@ -12,13 +12,14 @@
 namespace durassd {
 
 /// Fixed-size worker pool (RocksDB-style: one mutex, one condvar, FIFO
-/// queue, workers live for the pool's lifetime). Used by the sharded
-/// executor to run shard-epochs on real host threads.
+/// queue, workers live for the pool's lifetime). This is the simulator's
+/// only source of host parallelism (DESIGN.md §13): each job runs one
+/// whole, disjoint simulation stack to completion.
 ///
 /// Determinism note: the pool makes NO ordering promises between queued
 /// jobs — callers that need determinism must make their jobs commutative
-/// (the sharded executor's shard-epochs touch disjoint state and are
-/// separated by a barrier, so which worker runs which shard never matters).
+/// (jobs that touch disjoint stacks are, so which worker runs which job
+/// never matters).
 class ThreadPool {
  public:
   /// Spawns `num_threads` workers (minimum 1).

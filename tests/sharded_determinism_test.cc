@@ -1,17 +1,20 @@
-// Satellite determinism regression: the sharded engine must produce
-// bit-identical results regardless of the host thread count. Each shard
+// Determinism regression for host parallelism: disjoint simulation stacks
+// run side by side on a ThreadPool must produce bit-identical results to
+// the same stacks run one after another on the calling thread. Each shard
 // runs a full mirrored-array crash-torture scenario (CrashHarness with
 // member kill + online rebuild) from inside its client loop, so the
-// heavyweight work really lands on whichever host worker owns the shard
-// that epoch — and the composite of every shard's Report, schedule log,
-// and executor result must not change across {1, 2, 4, 8} threads.
+// heavyweight work really lands on whichever pool worker runs the shard —
+// and the composite of every shard's Report, schedule log, and scheduler
+// result must match the inline run for {1, 2, 4, 8} pool threads.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <string>
 #include <vector>
 
+#include "sim/client_scheduler.h"
 #include "sim/crash_harness.h"
-#include "sim/sim_executor.h"
+#include "sim/thread_pool.h"
 
 namespace durassd {
 namespace {
@@ -52,50 +55,68 @@ CrashHarness::Options TortureOptions(uint32_t shard) {
   return o;
 }
 
-std::string RunOnce(uint32_t threads) {
-  SimExecutor::Options opts;
-  opts.epoch_ns = 20 * kMicrosecond;
-  opts.host_threads = threads;
-  constexpr uint32_t kShards = 4;
+constexpr uint32_t kShards = 4;
 
-  std::vector<std::string> reports(kShards);
-  std::vector<std::string> logs(kShards);
-  std::vector<ShardedExecutor::Shard> shards;
-  for (uint32_t s = 0; s < kShards; ++s) {
-    shards.push_back(
-        {/*num_clients=*/2, /*total_ops=*/40,
-         [s, &reports, &logs](uint32_t client, SimTime now) {
-           // Events within a shard are serial, so this guard is safe: the
-           // torture scenario runs exactly once, on whichever host worker
-           // happens to own the shard at that moment.
-           if (reports[s].empty()) {
-             reports[s] = Format(CrashHarness::Run(TortureOptions(s)));
-           }
-           const SimTime done = now + Service(client, now, 11 + s);
-           logs[s] += std::to_string(client) + "@" + std::to_string(now) +
-                      ";";
-           return done;
-         }});
-  }
-  ShardedExecutor xe(opts, std::move(shards));
-  const auto results = xe.RunShards(/*start_time=*/0);
+struct ShardOutput {
+  ClientScheduler::RunResult result;
+  std::string report;
+  std::string log;
+};
 
+/// Runs shard `s` to completion on the calling thread.
+ShardOutput RunShard(uint32_t s) {
+  ShardOutput out;
+  out.result = ClientScheduler::Run(
+      /*num_clients=*/2, /*total_ops=*/40, /*start_time=*/0,
+      [s, &out](uint32_t client, SimTime now) {
+        // The torture scenario runs exactly once, inside the shard's first
+        // operation, on whichever thread runs the shard.
+        if (out.report.empty()) {
+          out.report = Format(CrashHarness::Run(TortureOptions(s)));
+        }
+        const SimTime done = now + Service(client, now, 11 + s);
+        out.log += std::to_string(client) + "@" + std::to_string(now) + ";";
+        return done;
+      });
+  return out;
+}
+
+std::string Composite(const std::vector<ShardOutput>& outs) {
   std::string composite;
   for (uint32_t s = 0; s < kShards; ++s) {
     composite += "[shard " + std::to_string(s) +
-                 " ops=" + std::to_string(results[s].ops) +
-                 " makespan=" + std::to_string(results[s].makespan) + " " +
-                 reports[s] + "]" + logs[s] + "\n";
+                 " ops=" + std::to_string(outs[s].result.ops) +
+                 " makespan=" + std::to_string(outs[s].result.makespan) +
+                 " " + outs[s].report + "]" + outs[s].log + "\n";
   }
   return composite;
 }
 
+/// Every shard in turn on the calling thread, no pool.
+std::string RunInline() {
+  std::vector<ShardOutput> outs;
+  for (uint32_t s = 0; s < kShards; ++s) outs.push_back(RunShard(s));
+  return Composite(outs);
+}
+
+/// One RunBatch thunk per shard on a pool of `threads` workers.
+std::string RunOnPool(uint32_t threads) {
+  std::vector<ShardOutput> outs(kShards);
+  std::vector<std::function<void()>> thunks;
+  for (uint32_t s = 0; s < kShards; ++s) {
+    thunks.push_back([s, &outs] { outs[s] = RunShard(s); });
+  }
+  ThreadPool pool(threads);
+  pool.RunBatch(thunks);
+  return Composite(outs);
+}
+
 TEST(ShardedDeterminismTest, MirroredArrayTortureIdenticalAcrossThreads) {
-  const std::string golden = RunOnce(1);
+  const std::string golden = RunInline();
   ASSERT_NE(golden.find("recovered=1"), std::string::npos) << golden;
   ASSERT_EQ(golden.find("V["), std::string::npos) << golden;
-  for (const uint32_t threads : {2u, 4u, 8u}) {
-    EXPECT_EQ(golden, RunOnce(threads)) << "threads=" << threads;
+  for (const uint32_t threads : {1u, 2u, 4u, 8u}) {
+    EXPECT_EQ(golden, RunOnPool(threads)) << "threads=" << threads;
   }
 }
 
