@@ -174,8 +174,8 @@ double Us(SimTime ns) { return static_cast<double>(ns) / 1000.0; }
 bool RunFailoverBench(uint64_t ops, BenchJson* json) {
   printf("Mirrored-pair failover: 4KB random read latency\n");
   const FailoverResult r = RunFailoverReads(ops);
-  const double healthy_p99 = Us(r.healthy.Percentile(0.99));
-  const double failover_p99 = Us(r.failed_over.Percentile(0.99));
+  const double healthy_p99 = Us(r.healthy.Percentile(99));
+  const double failover_p99 = Us(r.failed_over.Percentile(99));
   printf("  %-22s %10.1f us\n", "healthy p99", healthy_p99);
   printf("  %-22s %10.1f us\n", "discovery read", Us(r.discovery_latency));
   printf("  %-22s %10.1f us\n", "post-failover p99", failover_p99);

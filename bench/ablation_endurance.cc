@@ -51,7 +51,9 @@ WriteVolume RunConfig(const char* label, bool dwb, uint32_t page_size,
 
   const uint64_t host0 = rig.data_dev->stats().host_written_sectors;
   const uint64_t nand0 = rig.data_dev->flash().stats().programs;
-  if (!bench.Run().ok()) abort();
+  auto result = bench.Run();
+  if (!result.ok()) abort();
+  if (g_json != nullptr) g_json->CountFailedOps(result->failed_ops);
   const double host_bytes =
       static_cast<double>(rig.data_dev->stats().host_written_sectors - host0) *
       rig.data_dev->sector_size();
@@ -143,5 +145,5 @@ int main(int argc, char** argv) {
   json.Config("nodes", nodes).Config("requests", requests);
   durassd::g_json = &json;
   durassd::RunComparison(nodes, requests);
-  return json.WriteFile() ? 0 : 1;
+  return json.Finish();
 }

@@ -53,7 +53,7 @@ void RunFioSweep(uint64_t ops, BenchJson* json) {
       const FioResult r = RunFio(&dev, job);
       printf("  %-10s %-4u %12.0f %14.1f %12llu\n",
              ordered ? "ordered" : "unordered", qd, r.iops,
-             static_cast<double>(r.latency.Percentile(0.99)) / 1000.0,
+             static_cast<double>(r.latency.Percentile(99)) / 1000.0,
              static_cast<unsigned long long>(dev.stats().ordered_ack_clamps));
       if (json->enabled()) {
         BenchResult row(std::string(ordered ? "ordered" : "unordered") +

@@ -293,12 +293,29 @@ class BenchJson {
     return ok;
   }
 
+  /// Counts workload operations that returned an error. They do not reach
+  /// the document; they only fail the exit code (see Finish).
+  void CountFailedOps(uint64_t n) { failed_ops_ += n; }
+
+  /// Writes the document, then returns the process exit code: 1 when the
+  /// write failed or any counted operation failed, else 0.
+  int Finish() const {
+    const bool wrote = WriteFile();
+    if (failed_ops_ > 0) {
+      std::fprintf(stderr, "%s: %llu workload operations failed\n",
+                   bench_.c_str(),
+                   static_cast<unsigned long long>(failed_ops_));
+    }
+    return wrote && failed_ops_ == 0 ? 0 : 1;
+  }
+
  private:
   std::string bench_;
   std::string path_;
   bool quick_;
   bench_json_internal::Fields config_;
   std::vector<std::string> results_;
+  uint64_t failed_ops_ = 0;
 };
 
 }  // namespace durassd

@@ -54,6 +54,7 @@ double RunConfig(const char* label, bool barriers, bool dwb,
   }
   auto result = bench.Run();
   if (!result.ok()) abort();
+  if (g_json != nullptr) g_json->CountFailedOps(result->failed_ops);
   if (g_stats) {
     const auto& ps = rig.db->pool_stats();
     const auto& ws = rig.db->wal_stats();
@@ -127,5 +128,5 @@ int main(int argc, char** argv) {
       .Config("clients", uint64_t{128});
   durassd::g_json = &json;
   durassd::RunFigure(nodes, requests);
-  return json.WriteFile() ? 0 : 1;
+  return json.Finish();
 }

@@ -40,6 +40,7 @@ Point RunConfig(uint32_t page_size, uint64_t pool_bytes, uint64_t nodes,
   if (!bench.Load(rig.io).ok()) abort();
   auto result = bench.Run();
   if (!result.ok()) abort();
+  if (g_json != nullptr) g_json->CountFailedOps(result->failed_ops);
   if (g_json != nullptr && g_json->enabled()) {
     BenchResult row("page=" + std::to_string(page_size / kKiB) +
                     "KB/pool_bytes=" + std::to_string(pool_bytes));
@@ -104,5 +105,5 @@ int main(int argc, char** argv) {
   json.Config("nodes", nodes).Config("requests", requests);
   durassd::g_json = &json;
   durassd::RunFigure(nodes, requests);
-  return json.WriteFile() ? 0 : 1;
+  return json.Finish();
 }

@@ -26,14 +26,21 @@
 namespace durassd {
 namespace {
 
-void BM_Crc32c4K(benchmark::State& state) {
-  std::string data(4096, 'x');
+// The dispatched CRC (SSE4.2 when the CPU has it) and the table fallback.
+template <uint32_t (*kCrc)(const void*, size_t, uint32_t)>
+void BM_Crc(benchmark::State& state) {
+  const std::string data(static_cast<size_t>(state.range(0)), 'x');
   for (auto _ : state) {
-    benchmark::DoNotOptimize(Crc32c(data.data(), data.size()));
+    benchmark::DoNotOptimize(kCrc(data.data(), data.size(), 0));
   }
-  state.SetBytesProcessed(state.iterations() * 4096);
+  state.SetBytesProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_Crc32c4K);
+void BM_Crc32c(benchmark::State& state) { BM_Crc<Crc32c>(state); }
+void BM_Crc32cPortable(benchmark::State& state) {
+  BM_Crc<Crc32cPortable>(state);
+}
+BENCHMARK(BM_Crc32c)->Arg(64)->Arg(1024)->Arg(4096);
+BENCHMARK(BM_Crc32cPortable)->Arg(64)->Arg(1024)->Arg(4096);
 
 void BM_HistogramRecord(benchmark::State& state) {
   Histogram h;
@@ -208,6 +215,32 @@ void BM_KvStorePut(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_KvStorePut);
+
+// Zipfian point reads of 1 KB documents over a committed 20k-document store:
+// the tree walk through the node cache plus the document read and its CRC.
+void BM_KvStoreGet(benchmark::State& state) {
+  SsdConfig cfg = SsdConfig::DuraSsd();
+  cfg.store_data = true;
+  SsdDevice dev(cfg);
+  SimFileSystem fs(&dev, SimFileSystem::Options{});
+  IoContext io;
+  KvStore::Options ko;
+  ko.batch_size = 100;
+  auto store = KvStore::Open(io, &fs, "b.couch", ko);
+  constexpr uint64_t kDocs = 20000;
+  const std::string value(1024, 'v');
+  for (uint64_t i = 0; i < kDocs; ++i) {
+    (*store)->Put(io, "user" + std::to_string(i), value);
+  }
+  (*store)->Commit(io);
+  ZipfianGenerator zipf(kDocs, 0.99);
+  Random rng(9);
+  std::string out;
+  for (auto _ : state) {
+    (*store)->Get(io, "user" + std::to_string(zipf.NextScrambled(rng)), &out);
+  }
+}
+BENCHMARK(BM_KvStoreGet);
 
 }  // namespace
 }  // namespace durassd

@@ -6,6 +6,7 @@
 #   --json   write per-bench JSON to bench_json/<name>.json and aggregate
 #            everything into BENCH_results.json
 #
+# Prints a per-bench wall-time table and the suite total at the end.
 # Exits nonzero if any bench fails.
 set -u
 
@@ -29,6 +30,11 @@ if [ "$JSON" = 1 ]; then
 fi
 
 FAILED=""
+WALL_TABLE=""
+SUITE_START_NS=$(date +%s%N)
+
+# Milliseconds since the nanosecond timestamp $1.
+ms_since() { echo $(( ($(date +%s%N) - $1) / 1000000 )); }
 
 run_bench() {
   local b="$1"
@@ -46,10 +52,14 @@ run_bench() {
     rm -f "$JSON_DIR/$b.json"
     extra+=(--json "$JSON_DIR/$b.json")
   fi
+  local start_ns
+  start_ns=$(date +%s%N)
   if ! "./build/bench/$b" $QUICK "$@" "${extra[@]+"${extra[@]}"}"; then
     echo "FAILED: $b" >&2
     FAILED="$FAILED $b"
   fi
+  WALL_TABLE="$WALL_TABLE$(printf '  %-28s %10s' "$b" "$(ms_since "$start_ns")")
+"
   echo
 }
 
@@ -91,6 +101,11 @@ if [ "$JSON" = 1 ]; then
   } > BENCH_results.json
   echo "Wrote BENCH_results.json ($(ls "$JSON_DIR" | wc -l) benches)"
 fi
+
+echo "===== wall time ====="
+printf '  %-28s %10s\n' bench ms
+printf '%s' "$WALL_TABLE"
+printf '  %-28s %10s\n' total "$(ms_since "$SUITE_START_NS")"
 
 if [ -n "$FAILED" ]; then
   echo "Failed benches:$FAILED" >&2

@@ -96,18 +96,17 @@ StatusOr<std::unique_ptr<KvStore>> KvStore::Open(IoContext& io,
 
 uint64_t KvStore::AppendChunk(uint8_t type, Slice body, uint32_t* total_len) {
   const uint64_t off = tail_base_ + tail_.size();
-  std::string framed;
-  framed.push_back(static_cast<char>(type));
-  framed.append(body.data(), body.size());
-  PutFixed32(&tail_, static_cast<uint32_t>(framed.size()) + 8);
-  PutFixed32(&tail_, Crc32c(framed.data(), framed.size()));
-  tail_.append(framed);
-  *total_len = static_cast<uint32_t>(framed.size()) + 8;
+  const char type_byte = static_cast<char>(type);
+  *total_len = static_cast<uint32_t>(body.size()) + kChunkOverhead;
+  PutFixed32(&tail_, *total_len);
+  PutFixed32(&tail_, Crc32c(body.data(), body.size(), Crc32c(&type_byte, 1)));
+  tail_.push_back(type_byte);
+  tail_.append(body.data(), body.size());
   append_offset_ = tail_base_ + tail_.size();
   return off;
 }
 
-KvStore::NodeRef KvStore::AppendNode(const Node& node) {
+KvStore::NodeRef KvStore::AppendNode(Node node) {
   std::string body;
   body.push_back(node.leaf ? 1 : 0);
   PutFixed32(&body, static_cast<uint32_t>(node.entries.size()));
@@ -119,7 +118,7 @@ KvStore::NodeRef KvStore::AppendNode(const Node& node) {
   uint32_t len = 0;
   const uint64_t off = AppendChunk(kChunkNode, body, &len);
   stats_.node_appends++;
-  node_cache_[off] = node;
+  node_cache_.insert_or_assign(off, std::move(node));
   if (node_cache_.size() > 4096) {
     // Immutable cache: evicting the oldest offsets is safe and cheap.
     node_cache_.erase(node_cache_.begin(),
@@ -137,10 +136,10 @@ uint64_t KvStore::AppendDoc(Slice key, Slice value, uint32_t* len) {
   return off;
 }
 
-Status KvStore::LoadNode(IoContext& io, NodeRef ref, Node* out) {
+Status KvStore::LoadNode(IoContext& io, NodeRef ref, const Node** out) {
   auto cached = node_cache_.find(ref.off);
   if (cached != node_cache_.end()) {
-    *out = cached->second;
+    *out = &cached->second;
     return Status::OK();
   }
   std::string raw;
@@ -180,8 +179,7 @@ Status KvStore::LoadNode(IoContext& io, NodeRef ref, Node* out) {
     }
     node.entries.push_back(Entry{key.ToString(), off, len});
   }
-  node_cache_[ref.off] = node;
-  *out = std::move(node);
+  *out = &node_cache_.insert_or_assign(ref.off, std::move(node)).first->second;
   return Status::OK();
 }
 
@@ -221,8 +219,11 @@ Status KvStore::LoadDoc(IoContext& io, uint64_t off, uint32_t len,
 Status KvStore::CowInsertRec(IoContext& io, NodeRef ref, Slice key,
                              bool is_delete, uint64_t doc_off,
                              uint32_t doc_len, bool* found, CowResult* out) {
-  Node node;
-  DURASSD_RETURN_IF_ERROR(LoadNode(io, ref, &node));
+  const Node* cached = nullptr;
+  DURASSD_RETURN_IF_ERROR(LoadNode(io, ref, &cached));
+  // The one copy, taken before the recursion below appends (and so may
+  // evict): the new version is built in place.
+  Node node = *cached;
 
   if (node.leaf) {
     auto it = std::lower_bound(
@@ -264,10 +265,10 @@ Status KvStore::CowInsertRec(IoContext& io, NodeRef ref, Slice key,
     it->len = child.left.len;
     // Keep the separator = min key of the child subtree.
     {
-      Node left_child;
+      const Node* left_child = nullptr;
       DURASSD_RETURN_IF_ERROR(LoadNode(io, child.left, &left_child));
-      if (!left_child.entries.empty()) {
-        it->key = left_child.entries.front().key;
+      if (!left_child->entries.empty()) {
+        it->key = left_child->entries.front().key;
       }
     }
     if (child.split) {
@@ -283,12 +284,12 @@ Status KvStore::CowInsertRec(IoContext& io, NodeRef ref, Slice key,
     const size_t mid = node.entries.size() / 2;
     right.entries.assign(node.entries.begin() + mid, node.entries.end());
     node.entries.resize(mid);
-    out->left = AppendNode(node);
+    out->left = AppendNode(std::move(node));
     out->split = true;
     out->sep = right.entries.front().key;
-    out->right = AppendNode(right);
+    out->right = AppendNode(std::move(right));
   } else {
-    out->left = AppendNode(node);
+    out->left = AppendNode(std::move(node));
     out->split = false;
   }
   return Status::OK();
@@ -305,7 +306,7 @@ StatusOr<KvStore::NodeRef> KvStore::CowUpdate(IoContext& io, NodeRef root,
     leaf.leaf = true;
     leaf.entries.push_back(Entry{key.ToString(), doc_off, doc_len});
     live_bytes_ += doc_len;
-    return AppendNode(leaf);
+    return AppendNode(std::move(leaf));
   }
   CowResult res;
   DURASSD_RETURN_IF_ERROR(CowInsertRec(io, root, key, is_delete, doc_off,
@@ -313,13 +314,13 @@ StatusOr<KvStore::NodeRef> KvStore::CowUpdate(IoContext& io, NodeRef root,
   if (!res.split) return res.left;
   Node new_root;
   new_root.leaf = false;
-  Node left_child;
+  const Node* left_child = nullptr;
   DURASSD_RETURN_IF_ERROR(LoadNode(io, res.left, &left_child));
   const std::string left_key =
-      left_child.entries.empty() ? "" : left_child.entries.front().key;
+      left_child->entries.empty() ? "" : left_child->entries.front().key;
   new_root.entries.push_back(Entry{left_key, res.left.off, res.left.len});
   new_root.entries.push_back(Entry{res.sep, res.right.off, res.right.len});
-  return AppendNode(new_root);
+  return AppendNode(std::move(new_root));
 }
 
 // ---------------------------------------------------------------------------
@@ -372,21 +373,21 @@ Status KvStore::Get(IoContext& io, Slice key, std::string* value) {
   if (root_.len == 0) return Status::NotFound();
   NodeRef ref = root_;
   for (int depth = 0; depth < 64; ++depth) {
-    Node node;
+    const Node* node = nullptr;
     DURASSD_RETURN_IF_ERROR(LoadNode(io, ref, &node));
-    if (node.leaf) {
+    if (node->leaf) {
       auto it = std::lower_bound(
-          node.entries.begin(), node.entries.end(), key,
+          node->entries.begin(), node->entries.end(), key,
           [](const Entry& e, Slice k) { return Slice(e.key).compare(k) < 0; });
-      if (it == node.entries.end() || Slice(it->key).compare(key) != 0) {
+      if (it == node->entries.end() || Slice(it->key).compare(key) != 0) {
         return Status::NotFound();
       }
       return LoadDoc(io, it->off, it->len, nullptr, value);
     }
     auto it = std::upper_bound(
-        node.entries.begin(), node.entries.end(), key,
+        node->entries.begin(), node->entries.end(), key,
         [](Slice k, const Entry& e) { return k.compare(e.key) < 0; });
-    if (it == node.entries.begin()) return Status::NotFound();
+    if (it == node->entries.begin()) return Status::NotFound();
     --it;
     ref = NodeRef{it->off, it->len};
   }
@@ -525,7 +526,7 @@ Status KvStore::Recover(IoContext& io) {
     // Validate the root.
     root_ = NodeRef{root_off, root_len};
     if (root_len != 0) {
-      Node probe;
+      const Node* probe = nullptr;
       tail_base_ = header_off + kBlockSize;  // So LoadNode reads the file.
       if (!LoadNode(io, root_, &probe).ok()) continue;
     }
@@ -576,16 +577,16 @@ Status KvStore::CompactImpl(IoContext& io) {
     while (!stack.empty()) {
       const NodeRef ref = stack.back();
       stack.pop_back();
-      Node node;
+      const Node* node = nullptr;
       DURASSD_RETURN_IF_ERROR(LoadNode(io, ref, &node));
-      if (node.leaf) {
-        for (const Entry& e : node.entries) {
+      if (node->leaf) {
+        for (const Entry& e : node->entries) {
           std::string key, value;
           DURASSD_RETURN_IF_ERROR(LoadDoc(io, e.off, e.len, &key, &value));
           docs.emplace_back(std::move(key), std::move(value));
         }
       } else {
-        for (auto it = node.entries.rbegin(); it != node.entries.rend();
+        for (auto it = node->entries.rbegin(); it != node->entries.rend();
              ++it) {
           stack.push_back(NodeRef{it->off, it->len});
         }

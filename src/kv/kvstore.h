@@ -122,12 +122,16 @@ class KvStore {
           Options options);
 
   Status Recover(IoContext& io);
-  Status LoadNode(IoContext& io, NodeRef ref, Node* out);
+  /// Points *out at the node at `ref` inside the node cache (appended COW
+  /// nodes never change, so readers need no copy). The pointer stays valid
+  /// until the cache next drops entries: AppendNode's eviction,
+  /// RestoreCommitted or a clear. A miss only inserts, which moves nothing.
+  Status LoadNode(IoContext& io, NodeRef ref, const Node** out);
   Status LoadDoc(IoContext& io, uint64_t off, uint32_t len, std::string* key,
                  std::string* value);
   /// Appends a chunk to the tail buffer; returns its (final) offset.
   uint64_t AppendChunk(uint8_t type, Slice body, uint32_t* total_len);
-  NodeRef AppendNode(const Node& node);
+  NodeRef AppendNode(Node node);
   uint64_t AppendDoc(Slice key, Slice value, uint32_t* len);
 
   /// COW upsert/delete; returns the new root.
@@ -170,7 +174,10 @@ class KvStore {
   uint64_t doc_count_ = 0;
   uint64_t live_bytes_ = 0;
 
-  /// Immutable node cache (COW nodes never change once written).
+  /// Immutable node cache keyed by file offset (COW nodes never change once
+  /// written), read in place instead of copied. Only misses read the file
+  /// and advance virtual time, so the insertion and eviction rule must not
+  /// change.
   std::map<uint64_t, Node> node_cache_;
 
   bool read_only_ = false;

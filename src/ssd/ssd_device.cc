@@ -849,23 +849,9 @@ BlockDevice::Result SsdDevice::DoBarrier(SimTime now) {
   return {Status::OK(), done};
 }
 
-void SsdDevice::DumpOnCapacitor(SimTime t) {
-  // Everything acknowledged but not yet safely on NAND must reach the dump
-  // area on capacitor power (Sec. 3.4.1), together with the dirty mapping
-  // entries. Completed programs survive via the dumped mapping delta.
-  std::vector<std::pair<Lpn, const std::string*>> to_dump;
-  for (const auto& [lpn, e] : cache_) {
-    if (e.ack > t || e.program_done <= t) continue;
-    if (UseScheduler() && e.program_issue <= t) {
-      // The program was issued by the cut: the capacitor quiesce runs it to
-      // completion and the mapping survives the rollback (kIssued), so the
-      // sector needs no dump page. Skipping these keeps the dump within the
-      // reserved area even though lazy destage leaves far more entries with
-      // an open [ack, program_done) window than the eager path ever did.
-      continue;
-    }
-    to_dump.emplace_back(lpn, &e.data);
-  }
+void SsdDevice::DumpOnCapacitor(
+    SimTime t,
+    const std::vector<std::pair<Lpn, const std::string*>>& to_dump) {
   const uint64_t dump_bytes =
       (static_cast<uint64_t>(to_dump.size()) + 1) * cfg_.geometry.page_size +
       ftl_.dirty_mapping_entries() * 12;
@@ -965,6 +951,23 @@ void SsdDevice::PowerCut(SimTime t) {
     uint64_t max_kept_seq = 0;
     uint64_t min_dropped_epoch = ~0ull;
     uint64_t max_kept_epoch = 0;
+    // Everything acknowledged but not yet safely on NAND must reach the
+    // dump area on capacitor power (Sec. 3.4.1), together with the dirty
+    // mapping entries; completed programs survive via the dumped mapping
+    // delta. The same pass over the cache collects those sectors.
+    std::vector<std::pair<Lpn, const std::string*>> to_dump;
+    const auto note_survivor = [&](Lpn lpn, const CacheEntry& e) {
+      max_kept_seq = std::max(max_kept_seq, e.seq);
+      max_kept_epoch = std::max(max_kept_epoch, e.epoch);
+      if (e.program_done <= t) return;
+      // A program issued by the cut needs no dump page: the capacitor
+      // quiesce runs it to completion and the mapping survives the
+      // rollback (kIssued). Skipping these keeps the dump within the
+      // reserved area even though lazy destage leaves far more entries
+      // with an open [ack, program_done) window than the eager path did.
+      if (UseScheduler() && e.program_issue <= t) return;
+      to_dump.emplace_back(lpn, &e.data);
+    };
     for (auto it = cache_.begin(); it != cache_.end();) {
       CacheEntry& e = it->second;
       if (e.ack > t) {
@@ -980,8 +983,7 @@ void SsdDevice::PowerCut(SimTime t) {
           e.program_issue = kNeverProgrammed;
           e.program_start = 0;
           e.program_done = kNeverProgrammed;  // Needs replay.
-          max_kept_seq = std::max(max_kept_seq, e.seq);
-          max_kept_epoch = std::max(max_kept_epoch, e.epoch);
+          note_survivor(it->first, e);
           ++it;
         } else {
           if (e.has_prev) {
@@ -991,8 +993,7 @@ void SsdDevice::PowerCut(SimTime t) {
           it = cache_.erase(it);
         }
       } else {
-        max_kept_seq = std::max(max_kept_seq, e.seq);
-        max_kept_epoch = std::max(max_kept_epoch, e.epoch);
+        note_survivor(it->first, e);
         ++it;
       }
     }
@@ -1015,7 +1016,7 @@ void SsdDevice::PowerCut(SimTime t) {
     // capacitor runs every issued NAND operation to completion, so keying
     // on issue (not cell-program start) matches QuiesceInFlight above.
     ftl_.PowerCutRollback(t, Ftl::PowerCutExposure::kIssued);
-    DumpOnCapacitor(t);
+    DumpOnCapacitor(t, to_dump);
   } else {
     const bool flush_in_progress =
         last_flush_start_ >= 0 && last_flush_start_ <= t &&

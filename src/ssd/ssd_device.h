@@ -287,7 +287,11 @@ class SsdDevice : public BlockDevice, private DestageScheduler::Sink {
   void EvictCleanIfNeeded();
   /// Mapping-journal persistence cost for `entries` dirty mapping entries.
   SimTime MappingPersistCost(size_t entries) const;
-  void DumpOnCapacitor(SimTime t);
+  /// Writes `to_dump` (the acknowledged sectors not yet safe on NAND, in
+  /// cache order, collected by PowerCut's single pass over the cache) and
+  /// the dirty mapping entries to the dump area.
+  void DumpOnCapacitor(
+      SimTime t, const std::vector<std::pair<Lpn, const std::string*>>& to_dump);
   SimTime ReplayDump();
   /// Fires an armed SchedulePowerCut whose time has arrived. Returns true
   /// when the cut tripped (the caller must fail with DeviceOffline).

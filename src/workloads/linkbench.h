@@ -54,6 +54,7 @@ class LinkBench {
     uint64_t ops = 0;
     std::map<LinkOp, Histogram> latencies;
     double buffer_miss_ratio = 0;
+    uint64_t failed_ops = 0;  ///< Ops that returned a non-OK status.
   };
 
   LinkBench(Database* db, Config config);

@@ -35,6 +35,7 @@ class Tpcc {
     SimTime duration = 0;
     uint64_t new_orders = 0;
     Histogram new_order_latency;
+    uint64_t failed_ops = 0;  ///< Transactions that returned a non-OK status.
   };
 
   Tpcc(Database* db, Config config);

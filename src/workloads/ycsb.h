@@ -32,6 +32,8 @@ class Ycsb {
     SimTime duration = 0;
     Histogram read_latency;
     Histogram update_latency;
+    /// Ops whose Put failed or whose Get failed with anything but NotFound.
+    uint64_t failed_ops = 0;
   };
 
   Ycsb(KvStore* store, Config config);

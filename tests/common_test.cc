@@ -101,6 +101,38 @@ TEST(Crc32cTest, SeedChaining) {
   EXPECT_EQ(direct, Crc32c("def", 3, part));
 }
 
+std::string RandomBytes(size_t n, uint64_t seed) {
+  Random rng(seed);
+  std::string data(n, '\0');
+  for (char& c : data) c = static_cast<char>(rng.Next());
+  return data;
+}
+
+TEST(Crc32cTest, MatchesPortableAtEveryLengthAndAlignment) {
+  // Covers the 8-byte word loop, the byte tail and unaligned starts.
+  const std::string buf = RandomBytes(1100 + 8, 1);
+  for (uint32_t seed : {0u, 1u, 0xDEADBEEFu, 0xFFFFFFFFu}) {
+    for (size_t start = 0; start < 8; ++start) {
+      for (size_t n = 0; n <= 1100; ++n) {
+        const char* p = buf.data() + start;
+        ASSERT_EQ(Crc32c(p, n, seed), Crc32cPortable(p, n, seed))
+            << "seed " << seed << " start " << start << " n " << n;
+      }
+    }
+  }
+}
+
+TEST(Crc32cTest, ChainsAtEverySplitPoint) {
+  const std::string buf = RandomBytes(4096, 2);
+  const uint32_t whole = Crc32c(buf.data(), buf.size());
+  EXPECT_EQ(whole, Crc32cPortable(buf.data(), buf.size()));
+  for (size_t split = 0; split <= buf.size(); ++split) {
+    const uint32_t head = Crc32c(buf.data(), split);
+    ASSERT_EQ(whole, Crc32c(buf.data() + split, buf.size() - split, head))
+        << "split " << split;
+  }
+}
+
 // --------------------------- Coding ---------------------------------------
 
 TEST(CodingTest, Fixed32RoundTrip) {

@@ -4,6 +4,7 @@
 #include <memory>
 #include <string>
 
+#include "common/coding.h"
 #include "common/random.h"
 #include "db/io_context.h"
 #include "host/sim_file.h"
@@ -48,7 +49,11 @@ class KvHarness {
     io_.now = 0;
   }
 
+  /// Closes the store without a power cut (the device keeps everything).
+  void Close() { store_.reset(); }
+
   KvStore* store() { return store_.get(); }
+  SimFileSystem* fs() { return fs_.get(); }
   IoContext& io() { return io_; }
 
  private:
@@ -58,6 +63,84 @@ class KvHarness {
   uint32_t batch_size_;
   IoContext io_;
 };
+
+// Walks the chunk stream at the front of a file holding exactly one commit
+// ([total_len u32][crc u32][type u8][body] back to back, then padding) and
+// returns the offset of the last chunk of `type` (1 = doc, 2 = node) whose
+// first body byte is `first_body_byte` (pass -1 to accept any).
+uint64_t LastChunkOffset(SimFile* file, IoContext& io, uint8_t type,
+                         int first_body_byte) {
+  std::string raw;
+  EXPECT_TRUE(file->Read(io.now, 0, file->size(), &raw).status.ok());
+  uint64_t found = UINT64_MAX;
+  uint64_t off = 0;
+  while (off + 10 <= raw.size()) {
+    Slice in(raw.data() + off, 4);
+    uint32_t total = 0;
+    GetFixed32(&in, &total);
+    if (total < 10 || off + total > raw.size()) break;
+    const auto chunk_type = static_cast<uint8_t>(raw[off + 8]);
+    const auto body0 = static_cast<uint8_t>(raw[off + 9]);
+    if (chunk_type == type &&
+        (first_body_byte < 0 || body0 == first_body_byte)) {
+      found = off;
+    }
+    off += total;
+  }
+  return found;
+}
+
+// Flips one byte of a file by rewriting its whole sector through SimFile.
+void FlipByte(SimFile* file, IoContext& io, uint64_t off) {
+  constexpr uint64_t kSector = 4 * kKiB;  // The device's sector size.
+  const uint64_t sector_off = off / kSector * kSector;
+  std::string sector;
+  ASSERT_TRUE(file->Read(io.now, sector_off, kSector, &sector).status.ok());
+  sector[off - sector_off] ^= 0x40;
+  ASSERT_TRUE(file->Write(io.now, sector_off, sector).status.ok());
+}
+
+// A damaged node or doc chunk read into a cold node cache must surface as
+// Corruption, never as a wrong value or a crash.
+TEST(KvStoreTest, ColdCacheNeverServesDamagedChunk) {
+  for (const bool damage_node : {true, false}) {
+    SCOPED_TRACE(damage_node ? "node chunk" : "doc chunk");
+    KvHarness h(true, true, 100000);
+    ASSERT_TRUE(h.OpenStore().ok());
+    std::map<std::string, std::string> model;
+    std::string last_key;
+    for (int i = 0; i < 1500; ++i) {
+      last_key = "k" + std::to_string(i * 7919 % 1500);
+      model[last_key] = "value-" + std::to_string(i);
+      ASSERT_TRUE(h.store()->Put(h.io(), last_key, model[last_key]).ok());
+    }
+    ASSERT_TRUE(h.store()->Commit(h.io()).ok());
+    h.Close();
+
+    // The last leaf and doc chunks appended are the ones Get(last_key)
+    // reaches; the root above them is interior, so only it gets cached by
+    // the reopen's root probe.
+    SimFile* file = h.fs()->Open("bucket.couch");
+    const uint64_t chunk =
+        damage_node ? LastChunkOffset(file, h.io(), 2, /*leaf=*/1)
+                    : LastChunkOffset(file, h.io(), 1, -1);
+    ASSERT_NE(chunk, UINT64_MAX);
+    FlipByte(file, h.io(), chunk + 12);
+
+    ASSERT_TRUE(h.OpenStore().ok());
+    EXPECT_EQ(h.store()->committed_seq(), 1500u);
+    std::string got;
+    EXPECT_TRUE(h.store()->Get(h.io(), last_key, &got).IsCorruption());
+    for (const auto& [k, v] : model) {
+      got.clear();
+      const Status s = h.store()->Get(h.io(), k, &got);
+      ASSERT_TRUE(s.ok() || s.IsCorruption()) << k << ": " << s.ToString();
+      if (s.ok()) {
+        EXPECT_EQ(got, v) << k;
+      }
+    }
+  }
+}
 
 TEST(KvStoreTest, PutGetRoundTrip) {
   KvHarness h(true, true, 1);

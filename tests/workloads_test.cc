@@ -169,6 +169,7 @@ TEST(LinkBenchTest, LoadsAndRunsAllOpTypes) {
   uint64_t total = 0;
   for (const auto& [op, hist] : result->latencies) total += hist.count();
   EXPECT_EQ(total, 3000u);
+  EXPECT_EQ(result->failed_ops, 0u);
 }
 
 TEST(LinkBenchTest, BarriersOffIsFaster) {
@@ -221,6 +222,43 @@ TEST(YcsbTest, RunsAgainstKvStore) {
   EXPECT_GT(result->update_latency.count(), 0u);
   EXPECT_EQ(result->read_latency.count() + result->update_latency.count(),
             3000u);
+  EXPECT_EQ(result->failed_ops, 0u);
+}
+
+TEST(YcsbTest, CountsFailedOpsButNotMissingKeys) {
+  SsdConfig dc = SsdConfig::DuraSsd();
+  dc.geometry = FlashGeometry::Tiny();
+  dc.geometry.blocks_per_plane = 256;
+  dc.geometry.pages_per_block = 32;
+  SsdDevice dev(dc);
+  SimFileSystem fs(&dev, SimFileSystem::Options{});
+  IoContext io;
+  KvStore::Options ko;
+  ko.batch_size = 1;  // Every update commits, so every update fails below.
+  auto store = KvStore::Open(io, &fs, "y.couch", ko);
+  ASSERT_TRUE(store.ok());
+
+  // Nothing loaded: every read is NotFound, which is not a failure.
+  Ycsb::Config reads;
+  reads.records = 500;
+  reads.operations = 200;
+  reads.update_fraction = 0.0;
+  auto miss = Ycsb(store->get(), reads).Run();
+  ASSERT_TRUE(miss.ok());
+  EXPECT_EQ(miss->read_latency.count(), 200u);
+  EXPECT_EQ(miss->failed_ops, 0u);
+
+  // Device off: every update fails, and so do reads of the committed file.
+  Ycsb::Config mixed = reads;
+  mixed.update_fraction = 0.5;
+  Ycsb bench(store->get(), mixed);
+  ASSERT_TRUE(bench.Load(io).ok());
+  dev.PowerCut(io.now);
+  auto failed = bench.Run();
+  ASSERT_TRUE(failed.ok());
+  EXPECT_GT(failed->update_latency.count(), 0u);
+  EXPECT_GT(failed->failed_ops, failed->update_latency.count());
+  EXPECT_LE(failed->failed_ops, 200u);
 }
 
 TEST(YcsbTest, LargerBatchIsFaster) {
@@ -266,6 +304,7 @@ TEST(TpccTest, LoadsAndRunsAllTransactionTypes) {
   // ~45% of 2000 transactions are NewOrders.
   EXPECT_NEAR(static_cast<double>(result->new_orders), 900.0, 150.0);
   EXPECT_GT(result->new_order_latency.count(), 0u);
+  EXPECT_EQ(result->failed_ops, 0u);
 }
 
 TEST(TpccTest, BarrierOffBeatsBarrierOn) {
