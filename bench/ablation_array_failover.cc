@@ -57,18 +57,23 @@ FailoverResult RunFailoverReads(uint64_t ops) {
   ArrayConfig ac;
   auto arr = MakeMirroredArray(MemberConfig(), 2, ac);
   const uint64_t span = 64 * kMiB / kSectorBytes;
+  constexpr uint64_t kSeedStride = 8;
   uint64_t rng = 42;
   const std::string sector(kSectorBytes, 'w');
   SimTime t = 0;
-  // Seed the working set so reads hit mapped sectors on both replicas.
-  for (uint64_t i = 0; i < span; i += 8) {
+  // Seed the working set on both replicas; every read targets a seeded LPN,
+  // so none is served as a never-written sector.
+  for (uint64_t i = 0; i < span; i += kSeedStride) {
     t = arr->Write(t, i, sector).done;
   }
+  const auto seeded_lpn = [&] {
+    return Rng(&rng) % (span / kSeedStride) * kSeedStride;
+  };
 
   FailoverResult res;
   std::string out;
   for (uint64_t i = 0; i < ops; ++i) {
-    const Lpn lpn = Rng(&rng) % span;
+    const Lpn lpn = seeded_lpn();
     const auto r = arr->Read(t, lpn, 1, &out);
     if (!r.status.ok()) {
       std::fprintf(stderr, "healthy read: %s\n", r.status.ToString().c_str());
@@ -83,7 +88,7 @@ FailoverResult RunFailoverReads(uint64_t ops) {
   // on the survivor, and every read after that is a plain redirect.
   arr->fault_injector().KillMemberAt(0, t + 1);
   {
-    const Lpn lpn = Rng(&rng) % span;
+    const Lpn lpn = seeded_lpn();
     const auto r = arr->Read(t + 2, lpn, 1, &out);
     if (r.status.ok()) {
       res.discovery_latency = r.done - (t + 2);
@@ -95,7 +100,7 @@ FailoverResult RunFailoverReads(uint64_t ops) {
     t = r.done;
   }
   for (uint64_t i = 0; i < ops; ++i) {
-    const Lpn lpn = Rng(&rng) % span;
+    const Lpn lpn = seeded_lpn();
     const auto r = arr->Read(t, lpn, 1, &out);
     if (!r.status.ok()) {
       std::fprintf(stderr, "failed-over read: %s\n",

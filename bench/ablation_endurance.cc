@@ -12,7 +12,7 @@
 #include <string>
 
 #include "bench/bench_json.h"
-#include "bench/db_bench_util.h"
+#include "sim/stack.h"
 #include "workloads/linkbench.h"
 
 namespace durassd {
@@ -34,33 +34,35 @@ BenchJson* g_json = nullptr;
 
 WriteVolume RunConfig(const char* label, bool dwb, uint32_t page_size,
                       uint64_t nodes, uint64_t requests) {
-  DbRigConfig rc;
-  rc.write_barriers = !dwb;  // Paired knobs: default vs DuraSSD deployment.
-  rc.double_write = dwb;
-  rc.page_size = page_size;
-  rc.pool_bytes = nodes / 14 * kKiB;
-  rc.faults = g_faults;
-  DbRig rig = MakeDbRig(rc);
+  StackSpec spec = StackSpec::DbBenchRig();
+  // Paired knobs: default vs DuraSSD deployment.
+  spec.fs.write_barriers = !dwb;
+  spec.db.double_write = dwb;
+  spec.db.page_size = page_size;
+  spec.db.pool_bytes = nodes / 14 * kKiB;
+  spec.ssd.faults = g_faults;
+  Stack rig(spec);
+  if (!rig.Open().ok()) abort();
 
   LinkBench::Config lc;
   lc.num_nodes = nodes;
   lc.clients = 64;
   lc.requests = requests;
-  LinkBench bench(rig.db.get(), lc);
+  LinkBench bench(rig.db(), lc);
   if (!bench.Load(rig.io).ok()) abort();
 
-  const uint64_t host0 = rig.data_dev->stats().host_written_sectors;
-  const uint64_t nand0 = rig.data_dev->flash().stats().programs;
+  const uint64_t host0 = rig.ssd()->stats().host_written_sectors;
+  const uint64_t nand0 = rig.ssd()->flash().stats().programs;
   auto result = bench.Run();
   if (!result.ok()) abort();
   if (g_json != nullptr) g_json->CountFailedOps(result->failed_ops);
   const double host_bytes =
-      static_cast<double>(rig.data_dev->stats().host_written_sectors - host0) *
-      rig.data_dev->sector_size();
+      static_cast<double>(rig.ssd()->stats().host_written_sectors - host0) *
+      rig.ssd()->sector_size();
   const double nand_bytes =
-      static_cast<double>(rig.data_dev->flash().stats().programs - nand0) *
-      rig.data_dev->config().geometry.page_size;
-  const SsdDevice::FaultStats fs = rig.data_dev->fault_stats();
+      static_cast<double>(rig.ssd()->flash().stats().programs - nand0) *
+      rig.ssd()->config().geometry.page_size;
+  const SsdDevice::FaultStats fs = rig.ssd()->fault_stats();
   if (g_json != nullptr && g_json->enabled()) {
     BenchResult row(label);
     row.Param("double_write", dwb)
@@ -69,8 +71,8 @@ WriteVolume RunConfig(const char* label, bool dwb, uint32_t page_size,
         .Value("nand_gib", nand_bytes / kGiB)
         .Value("write_amplification",
                host_bytes > 0 ? nand_bytes / host_bytes : 0.0)
-        .Metrics(rig.db->metrics())
-        .Device(*rig.data_dev);
+        .Metrics(rig.db()->metrics())
+        .Device(*rig.ssd());
     g_json->Add(std::move(row));
   }
   return {host_bytes / kGiB, nand_bytes / kGiB,

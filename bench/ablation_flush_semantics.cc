@@ -5,14 +5,10 @@
 // default MySQL configuration across the three flush semantics.
 #include <cstdio>
 #include <cstring>
-#include <memory>
 #include <string>
 
 #include "bench/bench_json.h"
-#include "db/database.h"
-#include "host/sim_file.h"
-#include "ssd/ssd_config.h"
-#include "ssd/ssd_device.h"
+#include "sim/stack.h"
 #include "workloads/linkbench.h"
 
 namespace durassd {
@@ -22,28 +18,22 @@ BenchJson* g_json = nullptr;
 
 double RunConfig(const char* label, bool barriers, SsdConfig::FlushMode mode,
                  uint64_t nodes, uint64_t requests) {
-  SsdConfig dc = SsdConfig::DuraSsd();
-  dc.flush_mode = mode;
-  auto data_dev = std::make_unique<SsdDevice>(dc);
-  auto log_dev = std::make_unique<SsdDevice>(dc);
-  SimFileSystem::Options fso;
-  fso.write_barriers = barriers;
-  SimFileSystem data_fs(data_dev.get(), fso);
-  SimFileSystem log_fs(log_dev.get(), fso);
-
-  IoContext io;
-  Database::Options dbo;
-  dbo.pool_bytes = nodes / 14 * kKiB;
-  dbo.double_write = true;  // MySQL default: host unmodified.
-  auto db = Database::Open(io, &data_fs, &log_fs, dbo);
-  if (!db.ok()) abort();
+  StackSpec spec;
+  spec.ssd.flush_mode = mode;
+  spec.separate_log = true;
+  spec.fs.write_barriers = barriers;
+  spec.engine = StackSpec::Engine::kDatabase;
+  spec.db.pool_bytes = nodes / 14 * kKiB;
+  spec.db.double_write = true;  // MySQL default: host unmodified.
+  Stack s(spec);
+  if (!s.Open().ok()) abort();
 
   LinkBench::Config lc;
   lc.num_nodes = nodes;
   lc.clients = 128;
   lc.requests = requests;
-  LinkBench bench(db->get(), lc);
-  if (!bench.Load(io).ok()) abort();
+  LinkBench bench(s.db(), lc);
+  if (!bench.Load(s.io).ok()) abort();
   auto result = bench.Run();
   if (!result.ok()) abort();
   if (g_json != nullptr) g_json->CountFailedOps(result->failed_ops);
@@ -54,8 +44,8 @@ double RunConfig(const char* label, bool barriers, SsdConfig::FlushMode mode,
         .Param("ordered_no_drain",
                mode == SsdConfig::FlushMode::kOrderedNoDrain)
         .Throughput(tps, "txn/s")
-        .Metrics((*db)->metrics())
-        .Device(*data_dev);
+        .Metrics(s.db()->metrics())
+        .Device(*s.ssd());
     g_json->Add(std::move(row));
   }
   return tps;

@@ -13,16 +13,12 @@
 //     commits/s scales past the single-flush rate.
 #include <cstdio>
 #include <cstring>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "bench/bench_json.h"
-#include "db/database.h"
-#include "host/sim_file.h"
 #include "sim/client_scheduler.h"
-#include "ssd/ssd_config.h"
-#include "ssd/ssd_device.h"
+#include "sim/stack.h"
 #include "workloads/fiosim.h"
 
 namespace durassd {
@@ -80,27 +76,22 @@ struct CommitResult {
 
 CommitResult RunCommitters(bool ordered, uint32_t clients, uint64_t ops) {
   CommitResult out;
-  SsdConfig dc = DeviceConfig(ordered, /*store_data=*/true);
-  SsdDevice data_dev(dc);
-  SsdDevice log_dev(dc);
-  SimFileSystem::Options fso;
-  fso.write_barriers = true;  // Commit fsync issues a real FLUSH.
-  SimFileSystem data_fs(&data_dev, fso);
-  SimFileSystem log_fs(&log_dev, fso);
-
-  IoContext io;
-  Database::Options dbo;
-  dbo.pool_bytes = 16 * kMiB;
-  dbo.double_write = false;
-  dbo.checkpoint_log_bytes = 64 * kMiB;
-  auto opened = Database::Open(io, &data_fs, &log_fs, dbo);
+  StackSpec spec;
+  spec.ssd = DeviceConfig(ordered, /*store_data=*/true);
+  spec.separate_log = true;
+  spec.fs.write_barriers = true;  // Commit fsync issues a real FLUSH.
+  spec.engine = StackSpec::Engine::kDatabase;
+  spec.db.pool_bytes = 16 * kMiB;
+  spec.db.double_write = false;
+  spec.db.checkpoint_log_bytes = 64 * kMiB;
+  Stack s(spec);
+  const Status opened = s.Open();
   if (!opened.ok()) {
-    fprintf(stderr, "Database::Open failed: %s\n",
-            opened.status().ToString().c_str());
+    fprintf(stderr, "Database::Open failed: %s\n", opened.ToString().c_str());
     return out;
   }
-  std::unique_ptr<Database> db = std::move(*opened);
-  auto tree = db->CreateTree(io, "t");
+  Database* db = s.db();
+  auto tree = db->CreateTree(s.io, "t");
   if (!tree.ok()) {
     fprintf(stderr, "CreateTree failed: %s\n",
             tree.status().ToString().c_str());
@@ -126,7 +117,7 @@ CommitResult RunCommitters(bool ordered, uint32_t clients, uint64_t ops) {
     return cio.now;
   };
   const ClientScheduler::RunResult r =
-      ClientScheduler::Run(clients, ops, io.now, fn);
+      ClientScheduler::Run(clients, ops, s.io.now, fn);
   out.commits_per_sec = r.OpsPerSecond();
   out.wal = db->wal_stats();
   return out;

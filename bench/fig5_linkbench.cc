@@ -11,7 +11,7 @@
 #include <string>
 
 #include "bench/bench_json.h"
-#include "bench/db_bench_util.h"
+#include "sim/stack.h"
 #include "workloads/linkbench.h"
 
 namespace durassd {
@@ -35,19 +35,20 @@ BenchJson* g_json = nullptr;
 
 double RunConfig(const char* label, bool barriers, bool dwb,
                  uint32_t page_size, uint64_t nodes, uint64_t requests) {
-  DbRigConfig rc;
-  rc.write_barriers = barriers;
-  rc.double_write = dwb;
-  rc.page_size = page_size;
+  StackSpec spec = StackSpec::DbBenchRig();
+  spec.fs.write_barriers = barriers;
+  spec.db.double_write = dwb;
+  spec.db.page_size = page_size;
   // DB:pool ~ 10:1, like the paper's 100GB DB against a 10GB pool.
-  rc.pool_bytes = nodes / 14 * kKiB;
-  DbRig rig = MakeDbRig(rc);
+  spec.db.pool_bytes = nodes / 14 * kKiB;
+  Stack rig(spec);
+  if (!rig.Open().ok()) abort();
 
   LinkBench::Config lc;
   lc.num_nodes = nodes;
   lc.clients = 128;
   lc.requests = requests;
-  LinkBench bench(rig.db.get(), lc);
+  LinkBench bench(rig.db(), lc);
   if (!bench.Load(rig.io).ok()) {
     fprintf(stderr, "load failed\n");
     abort();
@@ -56,8 +57,8 @@ double RunConfig(const char* label, bool barriers, bool dwb,
   if (!result.ok()) abort();
   if (g_json != nullptr) g_json->CountFailedOps(result->failed_ops);
   if (g_stats) {
-    const auto& ps = rig.db->pool_stats();
-    const auto& ws = rig.db->wal_stats();
+    const auto& ps = rig.db()->pool_stats();
+    const auto& ws = rig.db()->wal_stats();
     fprintf(stderr,
             "  [%uKB bar=%d dwb=%d] tps=%.0f miss=%.1f%% evict=%llu "
             "dirty_evict=%llu rbw=%llu wal_syncs=%llu rides=%llu "
@@ -68,9 +69,9 @@ double RunConfig(const char* label, bool barriers, bool dwb,
             (unsigned long long)ps.dirty_evictions,
             (unsigned long long)ps.reads_blocked_by_writes,
             (unsigned long long)ws.syncs, (unsigned long long)ws.group_rides,
-            (unsigned long long)rig.data_dev->stats().flushes,
-            (unsigned long long)rig.log_dev->stats().flushes,
-            (unsigned long long)rig.data_dev->stats().write_stalls);
+            (unsigned long long)rig.ssd()->stats().flushes,
+            (unsigned long long)rig.log_ssd()->stats().flushes,
+            (unsigned long long)rig.ssd()->stats().write_stalls);
     fprintf(stderr, "    lat(ms): getnode=%.2f getlinks=%.2f updnode=%.2f "
             "addlink=%.2f\n",
             result->latencies[LinkOp::kGetNode].Mean() / 1e6,
@@ -86,8 +87,8 @@ double RunConfig(const char* label, bool barriers, bool dwb,
         .Param("page_size", static_cast<uint64_t>(page_size))
         .Throughput(result->tps, "txn/s")
         .LatencyNs(result->latencies[LinkOp::kAddLink])
-        .Metrics(rig.db->metrics())
-        .Device(*rig.data_dev);
+        .Metrics(rig.db()->metrics())
+        .Device(*rig.ssd());
     g_json->Add(std::move(row));
   }
   return result->tps;

@@ -8,7 +8,7 @@
 #include <vector>
 
 #include "bench/bench_json.h"
-#include "bench/db_bench_util.h"
+#include "sim/stack.h"
 #include "workloads/linkbench.h"
 
 namespace durassd {
@@ -25,18 +25,19 @@ BenchJson* g_json = nullptr;
 
 Point RunConfig(uint32_t page_size, uint64_t pool_bytes, uint64_t nodes,
                 uint64_t requests) {
-  DbRigConfig rc;
-  rc.write_barriers = false;
-  rc.double_write = false;
-  rc.page_size = page_size;
-  rc.pool_bytes = pool_bytes;
-  DbRig rig = MakeDbRig(rc);
+  StackSpec spec = StackSpec::DbBenchRig();
+  spec.fs.write_barriers = false;
+  spec.db.double_write = false;
+  spec.db.page_size = page_size;
+  spec.db.pool_bytes = pool_bytes;
+  Stack rig(spec);
+  if (!rig.Open().ok()) abort();
 
   LinkBench::Config lc;
   lc.num_nodes = nodes;
   lc.clients = 128;
   lc.requests = requests;
-  LinkBench bench(rig.db.get(), lc);
+  LinkBench bench(rig.db(), lc);
   if (!bench.Load(rig.io).ok()) abort();
   auto result = bench.Run();
   if (!result.ok()) abort();
@@ -48,7 +49,7 @@ Point RunConfig(uint32_t page_size, uint64_t pool_bytes, uint64_t nodes,
         .Param("pool_bytes", pool_bytes)
         .Throughput(result->tps, "txn/s")
         .Value("buffer_miss_pct", 100.0 * result->buffer_miss_ratio)
-        .Metrics(rig.db->metrics());
+        .Metrics(rig.db()->metrics());
     g_json->Add(std::move(row));
   }
   return {100.0 * result->buffer_miss_ratio, result->tps};

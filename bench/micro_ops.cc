@@ -18,7 +18,7 @@
 #include "db/wal.h"
 #include "flash/flash_array.h"
 #include "host/sim_file.h"
-#include "kv/kvstore.h"
+#include "sim/stack.h"
 #include "ssd/ftl.h"
 #include "ssd/ssd_config.h"
 #include "ssd/ssd_device.h"
@@ -199,19 +199,21 @@ BENCHMARK_F(BTreeFixture, Put)(benchmark::State& state) {
   }
 }
 
+/// A DuraSSD under a KvStore that commits every 100 updates.
+StackSpec KvSpec() {
+  StackSpec spec;
+  spec.engine = StackSpec::Engine::kKvStore;
+  spec.kv.batch_size = 100;
+  return spec;
+}
+
 void BM_KvStorePut(benchmark::State& state) {
-  SsdConfig cfg = SsdConfig::DuraSsd();
-  cfg.store_data = true;
-  SsdDevice dev(cfg);
-  SimFileSystem fs(&dev, SimFileSystem::Options{});
-  IoContext io;
-  KvStore::Options ko;
-  ko.batch_size = 100;
-  auto store = KvStore::Open(io, &fs, "b.couch", ko);
+  Stack s(KvSpec());
+  if (!s.Open().ok()) abort();
   const std::string value(1024, 'v');
   Random rng(8);
   for (auto _ : state) {
-    (*store)->Put(io, "user" + std::to_string(rng.Uniform(100000)), value);
+    s.kv()->Put(s.io, "user" + std::to_string(rng.Uniform(100000)), value);
   }
 }
 BENCHMARK(BM_KvStorePut);
@@ -219,25 +221,19 @@ BENCHMARK(BM_KvStorePut);
 // Zipfian point reads of 1 KB documents over a committed 20k-document store:
 // the tree walk through the node cache plus the document read and its CRC.
 void BM_KvStoreGet(benchmark::State& state) {
-  SsdConfig cfg = SsdConfig::DuraSsd();
-  cfg.store_data = true;
-  SsdDevice dev(cfg);
-  SimFileSystem fs(&dev, SimFileSystem::Options{});
-  IoContext io;
-  KvStore::Options ko;
-  ko.batch_size = 100;
-  auto store = KvStore::Open(io, &fs, "b.couch", ko);
+  Stack s(KvSpec());
+  if (!s.Open().ok()) abort();
   constexpr uint64_t kDocs = 20000;
   const std::string value(1024, 'v');
   for (uint64_t i = 0; i < kDocs; ++i) {
-    (*store)->Put(io, "user" + std::to_string(i), value);
+    s.kv()->Put(s.io, "user" + std::to_string(i), value);
   }
-  (*store)->Commit(io);
+  s.kv()->Commit(s.io);
   ZipfianGenerator zipf(kDocs, 0.99);
   Random rng(9);
   std::string out;
   for (auto _ : state) {
-    (*store)->Get(io, "user" + std::to_string(zipf.NextScrambled(rng)), &out);
+    s.kv()->Get(s.io, "user" + std::to_string(zipf.NextScrambled(rng)), &out);
   }
 }
 BENCHMARK(BM_KvStoreGet);

@@ -7,7 +7,7 @@
 #include <string>
 
 #include "bench/bench_json.h"
-#include "bench/db_bench_util.h"
+#include "sim/stack.h"
 #include "workloads/linkbench.h"
 
 namespace durassd {
@@ -17,18 +17,19 @@ BenchJson* g_json = nullptr;
 
 void RunConfig(const char* title, const char* label, bool barriers, bool dwb,
                uint32_t page_size, uint64_t nodes, uint64_t requests) {
-  DbRigConfig rc;
-  rc.write_barriers = barriers;
-  rc.double_write = dwb;
-  rc.page_size = page_size;
-  rc.pool_bytes = nodes / 14 * kKiB;
-  DbRig rig = MakeDbRig(rc);
+  StackSpec spec = StackSpec::DbBenchRig();
+  spec.fs.write_barriers = barriers;
+  spec.db.double_write = dwb;
+  spec.db.page_size = page_size;
+  spec.db.pool_bytes = nodes / 14 * kKiB;
+  Stack rig(spec);
+  if (!rig.Open().ok()) abort();
 
   LinkBench::Config lc;
   lc.num_nodes = nodes;
   lc.clients = 128;
   lc.requests = requests;
-  LinkBench bench(rig.db.get(), lc);
+  LinkBench bench(rig.db(), lc);
   if (!bench.Load(rig.io).ok()) abort();
   auto result = bench.Run();
   if (!result.ok()) abort();

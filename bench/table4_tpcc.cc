@@ -8,7 +8,7 @@
 #include <string>
 
 #include "bench/bench_json.h"
-#include "bench/db_bench_util.h"
+#include "sim/stack.h"
 #include "workloads/tpcc.h"
 
 namespace durassd {
@@ -18,18 +18,19 @@ BenchJson* g_json = nullptr;
 
 double RunConfig(bool barriers, uint32_t page_size, const Tpcc::Config& tc,
                  uint64_t pool_bytes) {
-  DbRigConfig rc;
-  rc.write_barriers = barriers;
-  rc.double_write = false;  // The commercial server relies on O_DSYNC.
-  rc.page_size = page_size;
-  rc.pool_bytes = pool_bytes;
+  StackSpec spec = StackSpec::DbBenchRig();
+  spec.fs.write_barriers = barriers;
+  spec.db.double_write = false;  // The commercial server relies on O_DSYNC.
+  spec.db.page_size = page_size;
+  spec.db.pool_bytes = pool_bytes;
   // O_DSYNC: a write barrier for every page write (when barriers are on,
   // each write is followed by a real FLUSH CACHE; with barriers off the
   // fsync is nearly free — exactly the knob Table 4 flips).
-  rc.sync_every_page_write = true;
-  DbRig rig = MakeDbRig(rc);
+  spec.db.sync_every_page_write = true;
+  Stack rig(spec);
+  if (!rig.Open().ok()) abort();
 
-  Tpcc bench(rig.db.get(), tc);
+  Tpcc bench(rig.db(), tc);
   if (!bench.Load(rig.io).ok()) abort();
   auto result = bench.Run();
   if (!result.ok()) abort();
@@ -40,8 +41,8 @@ double RunConfig(bool barriers, uint32_t page_size, const Tpcc::Config& tc,
     row.Param("write_barriers", barriers)
         .Param("page_size", static_cast<uint64_t>(page_size))
         .Throughput(result->tpmc, "tpmC")
-        .Metrics(rig.db->metrics())
-        .Device(*rig.data_dev);
+        .Metrics(rig.db()->metrics())
+        .Device(*rig.ssd());
     g_json->Add(std::move(row));
   }
   return result->tpmc;

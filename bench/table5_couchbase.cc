@@ -3,14 +3,10 @@
 // fraction {100%, 50%}, single benchmark thread, 1KB documents.
 #include <cstdio>
 #include <cstring>
-#include <memory>
 #include <string>
 
 #include "bench/bench_json.h"
-#include "host/sim_file.h"
-#include "kv/kvstore.h"
-#include "ssd/ssd_config.h"
-#include "ssd/ssd_device.h"
+#include "sim/stack.h"
 #include "workloads/ycsb.h"
 
 namespace durassd {
@@ -20,26 +16,20 @@ BenchJson* g_json = nullptr;
 
 double RunConfig(bool barriers, uint32_t batch, double update_fraction,
                  uint64_t records, uint64_t operations) {
-  SsdConfig dc = SsdConfig::DuraSsd();
-  dc.store_data = true;
-  SsdDevice device(dc);
-  SimFileSystem::Options fso;
-  fso.write_barriers = barriers;
-  SimFileSystem fs(&device, fso);
-
-  IoContext io;
-  KvStore::Options ko;
-  ko.batch_size = batch;
-  auto store = KvStore::Open(io, &fs, "bucket.couch", ko);
-  if (!store.ok()) abort();
+  StackSpec spec;
+  spec.fs.write_barriers = barriers;
+  spec.engine = StackSpec::Engine::kKvStore;
+  spec.kv.batch_size = batch;
+  Stack s(spec);
+  if (!s.Open().ok()) abort();
 
   Ycsb::Config yc;
   yc.records = records;
   yc.operations = operations;
   yc.update_fraction = update_fraction;
   yc.clients = 1;  // Single thread, like the paper.
-  Ycsb bench(store->get(), yc);
-  if (!bench.Load(io).ok()) abort();
+  Ycsb bench(s.kv(), yc);
+  if (!bench.Load(s.io).ok()) abort();
   auto result = bench.Run();
   if (!result.ok()) abort();
   if (g_json != nullptr) g_json->CountFailedOps(result->failed_ops);
@@ -52,8 +42,8 @@ double RunConfig(bool barriers, uint32_t batch, double update_fraction,
         .Param("update_fraction", update_fraction)
         .Throughput(result->ops_per_sec, "ops/s")
         .LatencyNs(result->update_latency)
-        .Metrics((*store)->metrics())
-        .Device(device);
+        .Metrics(s.kv()->metrics())
+        .Device(*s.ssd());
     g_json->Add(std::move(row));
   }
   return result->ops_per_sec;

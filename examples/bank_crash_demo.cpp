@@ -7,13 +7,9 @@
 // configuration is an order of magnitude faster, and only the durable
 // cache makes it safe.
 #include <cstdio>
-#include <memory>
 #include <string>
 
-#include "db/database.h"
-#include "host/sim_file.h"
-#include "ssd/ssd_config.h"
-#include "ssd/ssd_device.h"
+#include "sim/stack.h"
 #include "workloads/keys.h"
 
 using namespace durassd;
@@ -28,23 +24,19 @@ struct Outcome {
 };
 
 Outcome RunScenario(bool durable_cache) {
-  SsdConfig dc = durable_cache ? SsdConfig::DuraSsd() : SsdConfig::SsdA();
-  dc.geometry = FlashGeometry::Tiny();
-  dc.geometry.blocks_per_plane = 128;
-  dc.geometry.pages_per_block = 32;
-  SsdDevice ssd(dc);
-
-  SimFileSystem::Options fso;
-  fso.write_barriers = false;  // The DuraSSD deployment mode.
-  SimFileSystem fs(&ssd, fso);
-
-  IoContext io;
-  Database::Options dbo;
-  dbo.pool_bytes = 2 * kMiB;
-  dbo.double_write = false;
-  auto db_or = Database::Open(io, &fs, &fs, dbo);
-  if (!db_or.ok()) return {};
-  std::unique_ptr<Database> db = std::move(*db_or);
+  StackSpec spec;
+  spec.ssd = durable_cache ? SsdConfig::DuraSsd() : SsdConfig::SsdA();
+  spec.ssd.geometry = FlashGeometry::Tiny();
+  spec.ssd.geometry.blocks_per_plane = 128;
+  spec.ssd.geometry.pages_per_block = 32;
+  spec.fs.write_barriers = false;  // The DuraSSD deployment mode.
+  spec.engine = StackSpec::Engine::kDatabase;
+  spec.db.pool_bytes = 2 * kMiB;
+  spec.db.double_write = false;
+  Stack s(spec);
+  if (!s.Open().ok()) return {};
+  Database* db = s.db();
+  IoContext& io = s.io;
 
   auto accounts = db->CreateTree(io, "accounts");
   Outcome out;
@@ -60,24 +52,18 @@ Outcome RunScenario(bool durable_cache) {
   }
   out.seconds = static_cast<double>(io.now) / kSecond;
 
-  // Power failure, host and device together.
-  db.reset();
-  ssd.PowerCut(io.now);
-  ssd.PowerOn();
-
-  // Reboot and count what survived.
-  IoContext io2;
-  auto db2_or = Database::Open(io2, &fs, &fs, dbo);
-  if (!db2_or.ok()) {
+  // Power failure, host and device together, then reboot and count what
+  // survived.
+  s.Crash(io.now);
+  if (!s.Open().ok()) {
     return out;  // recovered stays false.
   }
   out.recovered = true;
-  std::unique_ptr<Database> db2 = std::move(*db2_or);
-  auto tid = db2->GetTreeId("accounts");
+  auto tid = s.db()->GetTreeId("accounts");
   if (tid.ok()) {
     for (uint64_t a = 0; a < 20; ++a) {
       std::string v;
-      if (db2->Get(io2, *tid, KeyU64(a), &v).ok()) out.survived++;
+      if (s.db()->Get(io, *tid, KeyU64(a), &v).ok()) out.survived++;
     }
   }
   return out;

@@ -3,54 +3,39 @@
 // Shows the throughput/durability-window trade-off on a volatile device,
 // and how DuraSSD collapses the trade-off (batch-size 1 is nearly free).
 #include <cstdio>
-#include <memory>
 #include <string>
 
-#include "db/io_context.h"
-#include "host/sim_file.h"
-#include "kv/kvstore.h"
-#include "ssd/ssd_config.h"
-#include "ssd/ssd_device.h"
+#include "sim/stack.h"
 
 using namespace durassd;
 
 namespace {
 
 void RunOne(bool durable_cache, uint32_t batch) {
-  SsdConfig dc = durable_cache ? SsdConfig::DuraSsd() : SsdConfig::SsdA();
-  dc.geometry = FlashGeometry::Tiny();
-  dc.geometry.blocks_per_plane = 192;
-  dc.geometry.pages_per_block = 32;
-  SsdDevice ssd(dc);
-  SimFileSystem::Options fso;
+  StackSpec spec;
+  spec.ssd = durable_cache ? SsdConfig::DuraSsd() : SsdConfig::SsdA();
+  spec.ssd.geometry = FlashGeometry::Tiny();
+  spec.ssd.geometry.blocks_per_plane = 192;
+  spec.ssd.geometry.pages_per_block = 32;
   // Operators disable barriers only when the device earns it.
-  fso.write_barriers = !durable_cache;
-  SimFileSystem fs(&ssd, fso);
-
-  IoContext io;
-  KvStore::Options ko;
-  ko.batch_size = batch;
-  auto store = KvStore::Open(io, &fs, "sessions.couch", ko);
-  if (!store.ok()) return;
+  spec.fs.write_barriers = !durable_cache;
+  spec.engine = StackSpec::Engine::kKvStore;
+  spec.kv.batch_size = batch;
+  Stack s(spec);
+  if (!s.Open().ok()) return;
 
   // 2047 session updates (1KB JSON-ish documents).
   const std::string doc(1024, 's');
-  const SimTime start = io.now;
+  const SimTime start = s.io.now;
   for (int i = 0; i < 2047; ++i) {
-    (*store)->Put(io, "session:" + std::to_string(i % 500), doc);
+    s.kv()->Put(s.io, "session:" + std::to_string(i % 500), doc);
   }
-  const double secs = static_cast<double>(io.now - start) / kSecond;
+  const double secs = static_cast<double>(s.io.now - start) / kSecond;
 
   // Crash without warning; count sessions whose last update survived.
-  const uint64_t committed_seq = (*store)->committed_seq();
-  store->reset();
-  ssd.PowerCut(io.now);
-  ssd.PowerOn();
-
-  IoContext io2;
-  auto reopened = KvStore::Open(io2, &fs, "sessions.couch", ko);
-  const uint64_t recovered_seq =
-      reopened.ok() ? (*reopened)->committed_seq() : 0;
+  const uint64_t committed_seq = s.kv()->committed_seq();
+  s.Crash(s.io.now);
+  const uint64_t recovered_seq = s.Open().ok() ? s.kv()->committed_seq() : 0;
 
   printf("  %-22s batch=%-4u %9.0f ops/s   window lost: %llu updates\n",
          durable_cache ? "DuraSSD, nobarrier" : "SSD-A, barriers on", batch,

@@ -440,10 +440,8 @@ BlockDevice::Result ArrayDevice::ExecuteBroadcast(SimTime t,
 
 BlockDevice::Result ArrayDevice::Execute(SimTime t, const Command& cmd) {
   if (!powered_) return {Status::DeviceOffline("array powered off"), t};
-  if (cut_armed_ && t >= scheduled_cut_) {
-    const SimTime cut = scheduled_cut_;
-    PowerCut(cut);
-    return {Status::DeviceOffline("scheduled power cut"), cut};
+  if (TripCutDueAt(t)) {
+    return {Status::DeviceOffline("scheduled power cut"), scheduled_cut()};
   }
 
   if (cfg_.auto_rebuild && !rebuild_active_ &&
@@ -464,21 +462,16 @@ BlockDevice::Result ArrayDevice::Execute(SimTime t, const Command& cmd) {
                         ? ExecuteBroadcast(t, cmd)
                         : ExecuteStriped(t, cmd));
 
-  if (cut_armed_ && r.done > scheduled_cut_) {
-    // Causality guard (same contract as the member device's
-    // CutBeforeCompletion): a command whose completion lands past the armed
-    // instant must not be acknowledged — power died mid-command. Member
-    // effects carrying post-cut timestamps are reverted by each member's
-    // PowerCut rollback.
-    const SimTime cut = scheduled_cut_;
-    PowerCut(cut);
-    return {Status::DeviceOffline("scheduled power cut"), cut};
+  // Causality guard: member effects carrying post-cut timestamps are
+  // reverted by each member's PowerCut rollback.
+  if (TripCutBeforeCompletion(r.done)) {
+    return {Status::DeviceOffline("scheduled power cut"), scheduled_cut()};
   }
   return r;
 }
 
 void ArrayDevice::PowerCut(SimTime t) {
-  cut_armed_ = false;
+  CancelScheduledPowerCut();
   for (uint32_t m = 0; m < members_.size(); ++m) {
     if (states_[m] != MemberState::kDead && members_[m]->powered()) {
       members_[m]->PowerCut(t);

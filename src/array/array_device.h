@@ -197,17 +197,6 @@ class ArrayDevice : public BlockDevice {
   bool ordered_writes() const override;
   bool supports_barrier() const override;
 
-  /// Arms a whole-array power cut at virtual time `t` (the crash-harness
-  /// hook, same contract as SsdDevice::SchedulePowerCut): the first array
-  /// command issued at now >= t — or completing past t — first cuts power
-  /// on every member at t and then fails with DeviceOffline. One-shot.
-  void SchedulePowerCut(SimTime t) {
-    scheduled_cut_ = t;
-    cut_armed_ = true;
-  }
-  void CancelScheduledPowerCut() { cut_armed_ = false; }
-  bool scheduled_cut_armed() const { return cut_armed_; }
-
   /// Clean shutdown: FLUSH each live member, then power it down without
   /// the emergency flag.
   Status Shutdown(SimTime now);
@@ -216,8 +205,8 @@ class ArrayDevice : public BlockDevice {
   Health health() const { return health_; }
   /// True once the array left the optimal state (sticky until a completed
   /// rebuild restores full redundancy).
-  bool degraded() const { return health_ != Health::kOptimal; }
-  bool powered() const { return powered_; }
+  bool degraded() const override { return health_ != Health::kOptimal; }
+  bool powered() const override { return powered_; }
 
   uint32_t num_members() const { return static_cast<uint32_t>(members_.size()); }
   MemberState member_state(uint32_t m) const { return states_[m]; }
@@ -296,9 +285,6 @@ class ArrayDevice : public BlockDevice {
   uint64_t member_sectors_ = 0;  ///< Min capacity across members.
   Health health_ = Health::kOptimal;
   bool powered_ = true;
-
-  bool cut_armed_ = false;
-  SimTime scheduled_cut_ = 0;
 
   // --- Rebuild state (host-side supervisor metadata) ---
   bool rebuild_active_ = false;

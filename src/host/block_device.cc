@@ -89,6 +89,13 @@ void BlockDevice::AbortInFlight(SimTime t) {
   while (!inflight_done_.empty()) inflight_done_.pop();
 }
 
+bool BlockDevice::TripScheduledCut() {
+  cut_armed_ = false;
+  ++scheduled_cuts_tripped_;
+  PowerCut(scheduled_cut_);
+  return true;
+}
+
 BlockDevice::Result BlockDevice::Write(SimTime now, Lpn lpn, Slice data) {
   const CmdId id = Submit(now, Command::MakeWrite(lpn, data));
   const Completion c = Await(id);

@@ -185,7 +185,48 @@ class BlockDevice {
     return num_sectors() * sector_size();
   }
 
+  /// False between PowerCut and PowerOn.
+  virtual bool powered() const { return true; }
+  /// True while the device runs degraded: an SSD (or a tier's flash) in
+  /// sticky read-only mode, or a mirror that lost a member.
+  virtual bool degraded() const { return false; }
+
+  /// Arms a power cut at virtual time `t`: the first command issued at
+  /// now >= t — or whose completion would land past t — first executes
+  /// PowerCut(t) and then fails with DeviceOffline instead of being
+  /// acknowledged. This is how the crash harness cuts power mid-engine-call
+  /// (including mid-recovery): the cut takes effect *inside* the engine's
+  /// sequence of device operations rather than between host-visible steps.
+  /// One-shot; a manual PowerCut() disarms it. A composed device (array,
+  /// tier) guards its own commands and cascades PowerCut to its members,
+  /// which are not armed themselves.
+  void SchedulePowerCut(SimTime t) {
+    scheduled_cut_ = t;
+    cut_armed_ = true;
+  }
+  void CancelScheduledPowerCut() { cut_armed_ = false; }
+  bool scheduled_cut_armed() const { return cut_armed_; }
+  /// Armed cuts that have fired.
+  uint64_t scheduled_cuts_tripped() const { return scheduled_cuts_tripped_; }
+
  protected:
+  /// Due at issue: fires an armed cut whose instant has arrived by `now`.
+  /// Returns true when it tripped (the caller must fail with DeviceOffline).
+  bool TripCutDueAt(SimTime now) {
+    return cut_armed_ && now >= scheduled_cut_ && TripScheduledCut();
+  }
+  /// Causality guard: a command that would only COMPLETE after the armed
+  /// instant must not be acknowledged — the power died mid-command. Fires
+  /// the cut (PowerCut's rollback reverts the effects the command already
+  /// applied with post-cut timestamps) and returns true, in which case the
+  /// caller must fail with DeviceOffline. Without this, a flush spanning
+  /// the cut instant would be acknowledged and then silently undone.
+  bool TripCutBeforeCompletion(SimTime done) {
+    return cut_armed_ && done > scheduled_cut_ && TripScheduledCut();
+  }
+  /// The armed (or last fired) cut instant.
+  SimTime scheduled_cut() const { return scheduled_cut_; }
+
   /// Executes one command at time `t` (which already reflects any
   /// submission stall) and returns its status + completion time. Implemented
   /// by each device; this is where all timing and state modelling lives.
@@ -214,6 +255,12 @@ class BlockDevice {
   uint64_t submit_stalls_ = 0;
   SimTime submit_stall_time_ = 0;
   Histogram* h_qd_ = nullptr;
+  bool cut_armed_ = false;
+  SimTime scheduled_cut_ = 0;
+  uint64_t scheduled_cuts_tripped_ = 0;
+
+  /// Disarms, counts the trip and runs PowerCut(scheduled_cut_).
+  bool TripScheduledCut();
 };
 
 }  // namespace durassd

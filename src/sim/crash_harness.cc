@@ -7,14 +7,7 @@
 #include <sstream>
 #include <utility>
 
-#include "array/array_device.h"
 #include "common/random.h"
-#include "db/database.h"
-#include "host/sim_file.h"
-#include "kv/kvstore.h"
-#include "ssd/ssd_config.h"
-#include "ssd/ssd_device.h"
-#include "tier/tiered_device.h"
 
 namespace durassd {
 namespace {
@@ -72,183 +65,50 @@ std::vector<Op> MakeOps(const CrashHarness::Options& opt) {
   return ops;
 }
 
-/// One full stack: device (raw SSD, or a mirrored array of them) + file
-/// system. The engine lives in EngineHolder so it can be destroyed and
-/// reopened across simulated reboots. The power/cut/epoch helpers fan out
-/// to whichever device backs the mount, so the torture logic below is
-/// array-agnostic.
-struct Stack {
-  explicit Stack(const CrashHarness::Options& opt) {
-    SsdConfig dc =
-        opt.durable_cache ? SsdConfig::DuraSsd() : SsdConfig::SsdA();
-    if (opt.durable_cache) dc.ordered_queue = opt.ordered_queue;
-    if (opt.durable_cache && opt.log_structured_destage) {
-      dc.destage_mode = SsdConfig::DestageMode::kLogStructured;
-    }
-    dc.geometry = FlashGeometry::Tiny();
-    dc.geometry.blocks_per_plane = 256;
-    dc.geometry.pages_per_block = 32;
-    dc.capacitor_budget_bytes = 16 * kMiB;
-    if (opt.inject_faults) {
-      // The PR-1 fault model, sized so ECC absorbs every read error: the
-      // harness asserts the invariants are unchanged under live faults.
-      dc.faults.seed = opt.seed * 0x9E3779B97F4A7C15ull + 0xFA171E5ull;
-      dc.faults.read_bit_flip_mean = 1.5;
-      dc.faults.read_bit_flip_per_erase = 0.05;
-      dc.faults.program_fail_rate = 0.01;
-      dc.faults.erase_fail_rate = 0.005;
-      dc.ecc_correctable_bits = 24;
-    }
-    if (opt.tiered) {
-      // Flash tier: the durable-cache preset on the harness's tiny
-      // geometry (the tiered stack always runs the DuraSSD flash tier —
-      // the directory's commit point needs it). Capacity tier: a small
-      // HDD so cuts land with destage runs and track-cache state live.
-      TieredConfig tc;
-      tc.flash = SsdConfig::DuraSsd();
-      tc.flash.geometry = dc.geometry;
-      tc.flash.capacitor_budget_bytes = dc.capacitor_budget_bytes;
-      tc.flash.faults = dc.faults;
-      tc.flash.ecc_correctable_bits = dc.ecc_correctable_bits;
-      tc.capacity_is_hdd = true;
-      tc.capacity_hdd.num_sectors = 16384;  // 64 MiB capacity tier.
-      tc.flash_pct = opt.tier_flash_pct;
-      tc.admission = opt.tier_admission == 0
-                         ? TieredConfig::Admission::kAll
-                         : TieredConfig::Admission::kBypassSequential;
-      tc.destage_batch = opt.tier_destage_batch;
-      tc.warm_recovery = opt.tier_warm;
-      tier = MakeTieredDevice(tc);
-    } else if (opt.array_mirrors > 0) {
-      ArrayConfig ac;
-      ac.layout = ArrayConfig::Layout::kMirrored;
-      ac.auto_rebuild = opt.array_rebuild;
-      ac.rebuild_batch_sectors = 64;
-      ac.rebuild_interval_ns = 100 * kMicrosecond;
-      array = MakeMirroredArray(dc, opt.array_mirrors, ac);
-    } else {
-      ssd = std::make_unique<SsdDevice>(dc);
-    }
-    SimFileSystem::Options fso;
-    fso.write_barriers = opt.write_barriers;
-    fs = std::make_unique<SimFileSystem>(dev(), fso);
-  }
-
-  BlockDevice* dev() {
-    if (tier != nullptr) return tier.get();
-    return array != nullptr ? static_cast<BlockDevice*>(array.get())
-                            : static_cast<BlockDevice*>(ssd.get());
-  }
-  void SchedulePowerCut(SimTime t) {
-    if (tier != nullptr) {
-      tier->SchedulePowerCut(t);
-    } else if (array != nullptr) {
-      array->SchedulePowerCut(t);
-    } else {
-      ssd->SchedulePowerCut(t);
-    }
-  }
-  void CancelScheduledPowerCut() {
-    if (tier != nullptr) {
-      tier->CancelScheduledPowerCut();
-    } else if (array != nullptr) {
-      array->CancelScheduledPowerCut();
-    } else {
-      ssd->CancelScheduledPowerCut();
-    }
-  }
-  void PowerCut(SimTime t) { dev()->PowerCut(t); }
-  SimTime PowerOn() { return dev()->PowerOn(); }
-  bool powered() const {
-    if (tier != nullptr) return tier->powered();
-    return array != nullptr ? array->powered() : ssd->powered();
-  }
-  bool degraded() const {
-    if (tier != nullptr) return tier->degraded();
-    return array != nullptr
-               ? array->degraded() || array->any_member_media_degraded()
-               : ssd->degraded();
-  }
-  uint64_t epoch_violations() const {
-    if (tier != nullptr) return tier->epoch_ordering_violations();
-    return array != nullptr ? array->epoch_ordering_violations()
-                            : ssd->stats().epoch_ordering_violations;
-  }
-  void set_tracer(Tracer* t) {
-    // Array runs trace the read primary: its barrier/flush completions are
-    // the commit boundaries the host observes. Tiered runs trace the flash
-    // tier for the same reason.
-    if (tier != nullptr) {
-      tier->set_tracer(t);
-    } else if (array != nullptr) {
-      array->member(0).set_tracer(t);
-    } else {
-      ssd->set_tracer(t);
-    }
-  }
-  /// Arms the whole-device death of member 0 at virtual time `kill` (array
-  /// stacks only; no-op otherwise).
-  void ArmKill(SimTime kill) {
-    if (array != nullptr && kill > 0) {
-      array->fault_injector().KillMemberAt(0, kill);
-    }
-  }
-
-  IoContext io;
-  std::unique_ptr<SsdDevice> ssd;
-  std::unique_ptr<ArrayDevice> array;
-  std::unique_ptr<TieredDevice> tier;
-  std::unique_ptr<SimFileSystem> fs;
+/// The engine's one tree (Database only). A cut before the schema became
+/// durable recovers to an empty database with no tree: that is snapshot 0,
+/// not an error.
+struct Tree {
+  uint32_t id = 0;
+  bool ok = false;
 };
 
-struct EngineHolder {
-  std::unique_ptr<Database> db;
-  std::unique_ptr<KvStore> kv;
-  uint32_t tree = 0;
-  bool tree_ok = false;
-
-  void Reset() {
-    db.reset();
-    kv.reset();
-    tree = 0;
-    tree_ok = false;
-  }
-};
-
-Status OpenEngine(Stack& s, const CrashHarness::Options& opt,
-                  EngineHolder* eng, bool create_tree) {
-  if (opt.engine == Engine::kDatabase) {
-    Database::Options dbo;
-    dbo.pool_bytes = 2 * kMiB;
-    dbo.double_write = opt.double_write;
-    dbo.checkpoint_log_bytes = 2 * kMiB;  // Frequent checkpoints.
-    dbo.sync_every_page_write = opt.sync_every_page_write;
-    dbo.checkpoint_queue_depth = opt.checkpoint_queue_depth;
-    dbo.durability_mode = opt.durability_mode;
-    auto d = Database::Open(s.io, s.fs.get(), s.fs.get(), dbo);
-    if (!d.ok()) return d.status();
-    eng->db = std::move(*d);
-    if (create_tree) {
-      auto t = eng->db->CreateTree(s.io, "t");
-      if (!t.ok()) return t.status();
-      eng->tree = *t;
-      eng->tree_ok = true;
-    } else {
-      auto t = eng->db->GetTreeId("t");
-      // A cut before the schema became durable recovers to an empty
-      // database with no tree: that is snapshot 0, not an error.
-      eng->tree_ok = t.ok();
-      eng->tree = t.ok() ? *t : 0;
-    }
-  } else {
-    KvStore::Options ko;
-    ko.batch_size = opt.kv_batch_size;
-    ko.durability_mode = opt.durability_mode;
-    auto k = KvStore::Open(s.io, s.fs.get(), "s.couch", ko);
-    if (!k.ok()) return k.status();
-    eng->kv = std::move(*k);
+/// Opens (recovers) the stack's engine and, for the Database, creates or
+/// looks up the tree.
+Status OpenEngine(Stack& s, bool create_tree, Tree* tree) {
+  *tree = Tree{};
+  DURASSD_RETURN_IF_ERROR(s.Open());
+  if (s.db() == nullptr) return Status::OK();
+  if (create_tree) {
+    auto t = s.db()->CreateTree(s.io, "t");
+    if (!t.ok()) return t.status();
+    *tree = Tree{*t, true};
+  } else if (auto t = s.db()->GetTreeId("t"); t.ok()) {
+    *tree = Tree{*t, true};
   }
   return Status::OK();
+}
+
+/// Arms the whole-device death of member 0 at virtual time `kill` (array
+/// stacks only; no-op otherwise).
+void ArmKill(Stack& s, SimTime kill) {
+  if (s.array() != nullptr && kill > 0) {
+    s.array()->fault_injector().KillMemberAt(0, kill);
+  }
+}
+
+/// Power cuts that kept a durable-cache write from a newer barrier epoch
+/// while losing one from an older epoch (summed over a mirror's members).
+uint64_t EpochViolations(Stack& s) {
+  return s.array() != nullptr ? s.array()->epoch_ordering_violations()
+                              : s.ssd()->stats().epoch_ordering_violations;
+}
+
+/// Read-only degraded mode anywhere in the stack, or a mirror running
+/// without a member.
+bool Degraded(Stack& s) {
+  return s.dev()->degraded() ||
+         (s.array() != nullptr && s.array()->any_member_media_degraded());
 }
 
 struct RunResult {
@@ -265,9 +125,9 @@ RunResult RunWorkload(Stack& s, const CrashHarness::Options& opt,
                       const std::vector<Op>& ops, SimTime cut,
                       std::vector<Model>* snapshots) {
   RunResult r;
-  if (cut > 0) s.SchedulePowerCut(cut);
-  EngineHolder eng;
-  Status st = OpenEngine(s, opt, &eng, /*create_tree=*/true);
+  if (cut > 0) s.dev()->SchedulePowerCut(cut);
+  Tree tree;
+  Status st = OpenEngine(s, /*create_tree=*/true, &tree);
   if (!st.ok()) {
     r.fail = st;
     return r;
@@ -278,7 +138,7 @@ RunResult RunWorkload(Stack& s, const CrashHarness::Options& opt,
     Model model;
     size_t i = 0;
     while (i < ops.size()) {
-      auto txn = eng.db->Begin(s.io);
+      auto txn = s.db()->Begin(s.io);
       if (!txn.ok()) {
         r.fail = txn.status();
         return r;
@@ -289,10 +149,10 @@ RunResult RunWorkload(Stack& s, const CrashHarness::Options& opt,
       for (size_t j = 0; j < batch; ++j) {
         const Op& op = ops[i + j];
         if (op.is_put) {
-          st = eng.db->Put(s.io, *txn, eng.tree, op.key, op.value);
+          st = s.db()->Put(s.io, *txn, tree.id, op.key, op.value);
           if (st.ok()) pending[op.key] = op.value;
         } else {
-          st = eng.db->Delete(s.io, *txn, eng.tree, op.key);
+          st = s.db()->Delete(s.io, *txn, tree.id, op.key);
           if (st.IsNotFound()) st = Status::OK();
           if (st.ok()) pending.erase(op.key);
         }
@@ -301,7 +161,7 @@ RunResult RunWorkload(Stack& s, const CrashHarness::Options& opt,
           return r;
         }
       }
-      st = eng.db->Commit(s.io, *txn);
+      st = s.db()->Commit(s.io, *txn);
       if (!st.ok()) {
         r.fail = st;
         r.commit_in_flight = true;  // The commit record may be durable.
@@ -316,11 +176,11 @@ RunResult RunWorkload(Stack& s, const CrashHarness::Options& opt,
     Model model;
     uint64_t uncommitted = 0;  // Updates since the last observed commit.
     for (const Op& op : ops) {
-      const uint64_t commits_before = eng.kv->stats().commits;
+      const uint64_t commits_before = s.kv()->stats().commits;
       if (op.is_put) {
-        st = eng.kv->Put(s.io, op.key, op.value);
+        st = s.kv()->Put(s.io, op.key, op.value);
       } else {
-        st = eng.kv->Delete(s.io, op.key);
+        st = s.kv()->Delete(s.io, op.key);
       }
       if (!st.ok()) {
         r.fail = st;
@@ -334,7 +194,7 @@ RunResult RunWorkload(Stack& s, const CrashHarness::Options& opt,
       } else {
         model.erase(op.key);
       }
-      if (eng.kv->stats().commits > commits_before) {
+      if (s.kv()->stats().commits > commits_before) {
         r.commits++;
         uncommitted = 0;
         if (snapshots != nullptr) snapshots->push_back(model);
@@ -346,42 +206,32 @@ RunResult RunWorkload(Stack& s, const CrashHarness::Options& opt,
   return r;
 }
 
-/// After a crashing run: if the scheduled cut never tripped (the workload
-/// finished first, or the engine failed for another reason such as
-/// degradation), cut power explicitly at the execution frontier.
-void EnsureCrashed(Stack& s, SimTime cut) {
-  if (s.powered()) {
-    s.CancelScheduledPowerCut();
-    s.PowerCut(std::max(cut, s.io.now));
-  }
-}
-
 /// Reads the complete recovered key/value state. For the KvStore the whole
 /// key universe is enumerated and doc_count() guards against phantom keys
 /// outside it.
 StatusOr<Model> DumpState(Stack& s, const CrashHarness::Options& opt,
-                          EngineHolder& eng) {
+                          const Tree& tree) {
   Model out;
   if (opt.engine == Engine::kDatabase) {
-    if (!eng.tree_ok) return out;  // Schema never durable: empty state.
+    if (!tree.ok) return out;  // Schema never durable: empty state.
     std::vector<std::pair<std::string, std::string>> rows;
-    DURASSD_RETURN_IF_ERROR(eng.db->Scan(
-        s.io, eng.tree, "", static_cast<size_t>(opt.keyspace) + 8, &rows));
+    DURASSD_RETURN_IF_ERROR(s.db()->Scan(
+        s.io, tree.id, "", static_cast<size_t>(opt.keyspace) + 8, &rows));
     for (auto& [k, v] : rows) out[k] = v;
   } else {
     for (uint64_t i = 0; i < opt.keyspace; ++i) {
       const std::string key = "k" + std::to_string(i);
       std::string value;
-      const Status st = eng.kv->Get(s.io, key, &value);
+      const Status st = s.kv()->Get(s.io, key, &value);
       if (st.ok()) {
         out[key] = value;
       } else if (!st.IsNotFound()) {
         return st;
       }
     }
-    if (eng.kv->doc_count() != out.size()) {
+    if (s.kv()->doc_count() != out.size()) {
       return Status::Corruption(
-          "doc_count " + std::to_string(eng.kv->doc_count()) +
+          "doc_count " + std::to_string(s.kv()->doc_count()) +
           " != " + std::to_string(out.size()) + " visible keys");
     }
   }
@@ -423,6 +273,72 @@ void AddViolation(CrashHarness::Report* rep,
 }
 
 }  // namespace
+
+StackSpec CrashHarness::Options::Spec() const {
+  StackSpec spec;
+  SsdConfig& dc = spec.ssd;
+  dc = durable_cache ? SsdConfig::DuraSsd() : SsdConfig::SsdA();
+  if (durable_cache) dc.ordered_queue = ordered_queue;
+  if (durable_cache && log_structured_destage) {
+    dc.destage_mode = SsdConfig::DestageMode::kLogStructured;
+  }
+  dc.geometry = FlashGeometry::Tiny();
+  dc.geometry.blocks_per_plane = 256;
+  dc.geometry.pages_per_block = 32;
+  dc.capacitor_budget_bytes = 16 * kMiB;
+  if (inject_faults) {
+    // The PR-1 fault model, sized so ECC absorbs every read error: the
+    // harness asserts the invariants are unchanged under live faults.
+    dc.faults.seed = seed * 0x9E3779B97F4A7C15ull + 0xFA171E5ull;
+    dc.faults.read_bit_flip_mean = 1.5;
+    dc.faults.read_bit_flip_per_erase = 0.05;
+    dc.faults.program_fail_rate = 0.01;
+    dc.faults.erase_fail_rate = 0.005;
+    dc.ecc_correctable_bits = 24;
+  }
+  if (tiered) {
+    // Flash tier: the durable-cache preset on the harness's tiny geometry
+    // (the tiered stack always runs the DuraSSD flash tier — the
+    // directory's commit point needs it). Capacity tier: a small HDD so
+    // cuts land with destage runs and track-cache state live.
+    spec.composition = StackSpec::Composition::kTiered;
+    TieredConfig& tc = spec.tiered;
+    tc.flash = SsdConfig::DuraSsd();
+    tc.flash.geometry = dc.geometry;
+    tc.flash.capacitor_budget_bytes = dc.capacitor_budget_bytes;
+    tc.flash.faults = dc.faults;
+    tc.flash.ecc_correctable_bits = dc.ecc_correctable_bits;
+    tc.capacity_is_hdd = true;
+    tc.capacity_hdd.num_sectors = 16384;  // 64 MiB capacity tier.
+    tc.flash_pct = tier_flash_pct;
+    tc.admission = tier_admission == 0
+                       ? TieredConfig::Admission::kAll
+                       : TieredConfig::Admission::kBypassSequential;
+    tc.destage_batch = tier_destage_batch;
+    tc.warm_recovery = tier_warm;
+  } else if (array_mirrors > 0) {
+    spec.composition = StackSpec::Composition::kMirrored;
+    spec.mirrors = array_mirrors;
+    spec.array.auto_rebuild = array_rebuild;
+    spec.array.rebuild_batch_sectors = 64;
+    spec.array.rebuild_interval_ns = 100 * kMicrosecond;
+  }
+  spec.fs.write_barriers = write_barriers;
+  if (engine == Engine::kDatabase) {
+    spec.engine = StackSpec::Engine::kDatabase;
+    spec.db.pool_bytes = 2 * kMiB;
+    spec.db.double_write = double_write;
+    spec.db.checkpoint_log_bytes = 2 * kMiB;  // Frequent checkpoints.
+    spec.db.sync_every_page_write = sync_every_page_write;
+    spec.db.checkpoint_queue_depth = checkpoint_queue_depth;
+    spec.db.durability_mode = durability_mode;
+  } else {
+    spec.engine = StackSpec::Engine::kKvStore;
+    spec.kv.batch_size = kv_batch_size;
+    spec.kv.durability_mode = durability_mode;
+  }
+  return spec;
+}
 
 std::string CrashHarness::Options::ToString() const {
   std::ostringstream os;
@@ -538,7 +454,7 @@ CrashHarness::Report CrashHarness::Run(const Options& opt) {
   // run stay bit-identical up to the cut. ----
   SimTime kill_time = 0;
   if (opt.array_mirrors > 0 && opt.array_kill_fraction > 0) {
-    Stack s(opt);
+    Stack s(opt.Spec());
     RunWorkload(s, opt, ops, /*cut=*/0, nullptr);
     const SimTime t0 = std::max<SimTime>(s.io.now, 1);
     kill_time = std::max<SimTime>(
@@ -555,9 +471,11 @@ CrashHarness::Report CrashHarness::Run(const Options& opt) {
   // virtual time, so the probe timing is unperturbed.
   Tracer boundary_tracer(1 << 16);
   {
-    Stack s(opt);
-    if (opt.cut_at_barrier_boundary) s.set_tracer(&boundary_tracer);
-    s.ArmKill(kill_time);
+    Stack s(opt.Spec());
+    // The lead SSD's barrier/flush completions are the commit boundaries
+    // the host observes (an array's read primary, a tier's flash).
+    if (opt.cut_at_barrier_boundary) s.ssd()->set_tracer(&boundary_tracer);
+    ArmKill(s, kill_time);
     const RunResult pr = RunWorkload(s, opt, ops, /*cut=*/0, &snapshots);
     if (!pr.open_ok) {
       AddViolation(&rep, opt, 0, "probe open failed: " + pr.fail.ToString());
@@ -601,24 +519,25 @@ CrashHarness::Report CrashHarness::Run(const Options& opt) {
   // can land deterministically in the middle of recovery. ----
   SimTime nested_at = 0;
   if (opt.nested_cut) {
-    Stack s(opt);
-    s.ArmKill(kill_time);
+    Stack s(opt.Spec());
+    ArmKill(s, kill_time);
     RunWorkload(s, opt, ops, cut, nullptr);
-    EnsureCrashed(s, cut);
-    s.PowerOn();
-    s.io.now = 0;
-    EngineHolder probe_eng;
-    const Status st = OpenEngine(s, opt, &probe_eng, /*create_tree=*/false);
+    s.Crash(std::max(cut, s.io.now));
+    Tree probe_tree;
+    const Status st = OpenEngine(s, /*create_tree=*/false, &probe_tree);
     // If recovery fails cleanly on this configuration there is nothing to
     // nest into; the main pass handles the clean failure on its own.
     if (st.ok() && s.io.now > 1) nested_at = s.io.now / 2 + 1;
   }
 
   // ---- The crashing run. ----
-  Stack s(opt);
-  s.ArmKill(kill_time);
+  Stack s(opt.Spec());
+  ArmKill(s, kill_time);
   const RunResult rr = RunWorkload(s, opt, ops, cut, nullptr);
-  EnsureCrashed(s, cut);
+  // If the scheduled cut never tripped (the workload finished first, or the
+  // engine failed for another reason such as degradation), Crash cuts power
+  // explicitly at the execution frontier; either way the devices reboot.
+  s.Crash(std::max(cut, s.io.now));
   rep.cuts = 1;
   // Epoch oracle: the device audits its own durable-cache survivor set at
   // every power cut — keeping any write of epoch N+1 while losing one of
@@ -626,7 +545,7 @@ CrashHarness::Report CrashHarness::Run(const Options& opt) {
   // later recovers. Checked after every cut this Run performs.
   uint64_t epoch_seen = 0;
   const auto check_epoch = [&](CrashHarness::Report* r) {
-    const uint64_t v = s.epoch_violations();
+    const uint64_t v = EpochViolations(s);
     if (v > epoch_seen) {
       AddViolation(r, opt, 5,
                    "epoch ordering: device kept a newer-epoch write while "
@@ -651,21 +570,21 @@ CrashHarness::Report CrashHarness::Run(const Options& opt) {
   const Tier tier = TierFor(opt);
 
   // ---- Recovery, retrying across nested cuts. ----
-  EngineHolder eng;
+  Tree tree;
   Status open_st = Status::OK();
   for (int attempt = 0; attempt < 6; ++attempt) {
     rep.recovery_attempts++;
-    s.PowerOn();
-    s.io.now = 0;
+    // The nested cut that failed the previous attempt left the devices
+    // off: reboot them.
+    if (attempt > 0) s.Crash(s.io.now);
     if (attempt == 0 && nested_at > 0) {
-      s.SchedulePowerCut(nested_at);
+      s.dev()->SchedulePowerCut(nested_at);
     } else {
-      s.CancelScheduledPowerCut();
+      s.dev()->CancelScheduledPowerCut();
     }
-    eng.Reset();
-    open_st = OpenEngine(s, opt, &eng, /*create_tree=*/false);
+    open_st = OpenEngine(s, /*create_tree=*/false, &tree);
     if (open_st.ok()) {
-      s.CancelScheduledPowerCut();
+      s.dev()->CancelScheduledPowerCut();
       break;
     }
     if (open_st.IsDeviceOffline()) {
@@ -677,7 +596,7 @@ CrashHarness::Report CrashHarness::Run(const Options& opt) {
 
   if (!open_st.ok()) {
     rep.recovered = false;
-    rep.degraded = s.degraded();
+    rep.degraded = Degraded(s);
     check_epoch(&rep);  // Nested cuts during recovery are audited too.
     const bool clean = open_st.IsCorruption() || open_st.IsDataLoss();
     if (tier == Tier::kStrict || !clean) {
@@ -687,7 +606,7 @@ CrashHarness::Report CrashHarness::Run(const Options& opt) {
   }
   rep.recovered = true;
 
-  StatusOr<Model> state = DumpState(s, opt, eng);
+  StatusOr<Model> state = DumpState(s, opt, tree);
   if (!state.ok()) {
     AddViolation(&rep, opt, 0,
                  "post-recovery reads failed: " + state.status().ToString());
@@ -804,17 +723,14 @@ CrashHarness::Report CrashHarness::Run(const Options& opt) {
   // comparing a real second recovery against it would be meaningless.)
   if (tier != Tier::kPrefix && !opt.plant_epoch_reorder) {
     const Model first = *state;
-    eng.Reset();
-    s.PowerCut(s.io.now + 1);
+    s.Crash(s.io.now + 1);
     rep.cuts++;
-    s.PowerOn();
-    s.io.now = 0;
-    const Status st2 = OpenEngine(s, opt, &eng, /*create_tree=*/false);
+    const Status st2 = OpenEngine(s, /*create_tree=*/false, &tree);
     if (!st2.ok()) {
       AddViolation(&rep, opt, 4,
                    "idempotency: second recovery failed: " + st2.ToString());
     } else {
-      StatusOr<Model> state2 = DumpState(s, opt, eng);
+      StatusOr<Model> state2 = DumpState(s, opt, tree);
       if (!state2.ok()) {
         AddViolation(&rep, opt, 4, "idempotency: reads failed: " +
                                        state2.status().ToString());
@@ -826,7 +742,7 @@ CrashHarness::Report CrashHarness::Run(const Options& opt) {
     }
   }
 
-  rep.degraded = s.degraded();
+  rep.degraded = Degraded(s);
   check_epoch(&rep);  // Covers the idempotency cut.
   return rep;
 }

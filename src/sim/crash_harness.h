@@ -8,6 +8,7 @@
 #include "common/trace.h"
 #include "common/types.h"
 #include "host/durability_mode.h"
+#include "sim/stack.h"
 
 namespace durassd {
 
@@ -146,6 +147,10 @@ class CrashHarness {
 
     /// Optional: kInvariantViolation events are recorded here.
     Tracer* tracer = nullptr;
+
+    /// The stack this scenario runs on: device preset, composition, file
+    /// system and engine.
+    StackSpec Spec() const;
 
     /// Self-contained reproducer string (also prefixes every violation).
     std::string ToString() const;

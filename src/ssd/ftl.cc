@@ -6,6 +6,12 @@
 
 namespace durassd {
 
+namespace {
+/// A host program first runs GC on its plane once the plane's free-block
+/// list is down to this many blocks.
+constexpr size_t kGcFreeBlockThreshold = 2;
+}  // namespace
+
 Ftl::Ftl(FlashArray* flash, Options options)
     : flash_(flash), opts_(options) {
   if (opts_.metrics != nullptr) {
@@ -62,7 +68,7 @@ StatusOr<Ppn> Ftl::AllocatePage(SimTime now, uint32_t plane_idx, bool for_gc) {
   const FlashGeometry& g = flash_->geometry();
   PlaneAlloc& plane = planes_[plane_idx];
 
-  if (!for_gc && plane.free_blocks.size() <= opts_.gc_free_block_threshold &&
+  if (!for_gc && plane.free_blocks.size() <= kGcFreeBlockThreshold &&
       plane.active_block != ~0u) {
     DURASSD_RETURN_IF_ERROR(RunGc(now, plane_idx));
   }

@@ -33,7 +33,6 @@ class Ftl {
   struct Options {
     uint32_t sector_size = 4 * kKiB;
     double over_provision = 0.07;
-    uint32_t gc_free_block_threshold = 2;
     uint32_t dump_blocks_per_plane = 2;
     // --- ECC / fault handling (only exercised when faults are injected) ---
     /// Raw bit errors per page the ECC corrects in one shot.

@@ -63,11 +63,8 @@ SimTime HddDevice::DestageToMedia(SimTime t, Lpn lpn, Slice data,
 }
 
 BlockDevice::Result HddDevice::Execute(SimTime t, const Command& cmd) {
-  if (cut_armed_ && t >= scheduled_cut_) {
-    const SimTime cut = scheduled_cut_;
-    ++scheduled_cuts_tripped_;
-    PowerCut(cut);
-    return {Status::DeviceOffline("scheduled power cut"), cut};
+  if (TripCutDueAt(t)) {
+    return {Status::DeviceOffline("scheduled power cut"), scheduled_cut()};
   }
   Result r;
   switch (cmd.op) {
@@ -83,15 +80,10 @@ BlockDevice::Result HddDevice::Execute(SimTime t, const Command& cmd) {
       r = DoFlush(t);
       break;
   }
-  if (cut_armed_ && r.status.ok() && r.done > scheduled_cut_) {
-    // Causality guard (SsdDevice::CutBeforeCompletion's contract): a
-    // completion past the armed instant must not be acknowledged — power
-    // failed first. PowerCut's shear/clear rollback reverts the effects
-    // the dispatch above already applied.
-    const SimTime cut = scheduled_cut_;
-    ++scheduled_cuts_tripped_;
-    PowerCut(cut);
-    return {Status::DeviceOffline("scheduled power cut"), cut};
+  // Causality guard: PowerCut's shear/clear rollback reverts the effects
+  // the dispatch above already applied.
+  if (r.status.ok() && TripCutBeforeCompletion(r.done)) {
+    return {Status::DeviceOffline("scheduled power cut"), scheduled_cut()};
   }
   return r;
 }
@@ -202,7 +194,7 @@ BlockDevice::Result HddDevice::DoFlush(SimTime now) {
 }
 
 void HddDevice::PowerCut(SimTime t) {
-  cut_armed_ = false;
+  CancelScheduledPowerCut();
   if (!powered_) return;
   powered_ = false;
 

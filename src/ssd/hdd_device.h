@@ -54,21 +54,7 @@ class HddDevice : public BlockDevice {
   bool supports_atomic_write() const override { return false; }
   bool has_durable_cache() const override { return false; }
 
-  /// Arms a power cut at virtual time `t` (same contract as
-  /// SsdDevice/ArrayDevice::SchedulePowerCut): the first command observed at
-  /// or after the instant — or whose completion would land past it — trips
-  /// PowerCut(t) and fails DeviceOffline instead of being acknowledged, so
-  /// the acked-durability oracle holds on the disk exactly as on the SSDs
-  /// (a completion later than the cut cannot causally have been delivered).
-  void SchedulePowerCut(SimTime t) {
-    scheduled_cut_ = t;
-    cut_armed_ = true;
-  }
-  void CancelScheduledPowerCut() { cut_armed_ = false; }
-  bool scheduled_cut_armed() const { return cut_armed_; }
-  uint64_t scheduled_cuts_tripped() const { return scheduled_cuts_tripped_; }
-
-  bool powered() const { return powered_; }
+  bool powered() const override { return powered_; }
   const Config& config() const { return cfg_; }
 
  protected:
@@ -109,9 +95,6 @@ class HddDevice : public BlockDevice {
       outstanding_;
   std::vector<InFlight> inflight_;
   bool powered_ = true;
-  bool cut_armed_ = false;
-  SimTime scheduled_cut_ = 0;
-  uint64_t scheduled_cuts_tripped_ = 0;
   SimTime max_time_seen_ = 0;
   SimTime last_flush_done_ = 0;
 };

@@ -25,8 +25,6 @@ struct SsdConfig {
 
   /// Fraction of raw flash reserved for over-provisioning (GC headroom).
   double over_provision = 0.07;
-  /// GC starts when a plane's free-block list drops below this.
-  uint32_t gc_free_block_threshold = 2;
   /// Blocks per plane reserved as the power-loss dump area (Sec. 3.4.1).
   uint32_t dump_blocks_per_plane = 2;
 
@@ -109,12 +107,6 @@ struct SsdConfig {
   /// Fixed firmware overhead of a FLUSH CACHE: quiescing queues and
   /// persisting FTL metadata/journal.
   SimTime flush_fixed_overhead = 3200 * kMicrosecond;
-  /// Mapping entries that fit one NAND journal page when persisting.
-  uint32_t mapping_entries_per_page = 1024;
-  /// The firmware checkpoints its mapping journal on its own once this many
-  /// entries are dirty, like real controllers do; only writes after the
-  /// last internal checkpoint are at risk on a volatile device.
-  uint32_t mapping_autopersist_threshold = 65536;
 
   /// Whether a power cut during a flush (or during write-through) can leave
   /// a mapping entry pointing at a torn page — the anomaly Zheng et al.
@@ -122,13 +114,6 @@ struct SsdConfig {
   /// for a durable cache device.
   bool exposes_torn_writes = true;
 
-  /// NCQ depth (SATA: 31/32 outstanding commands).
-  uint32_t ncq_depth = 32;
-  /// Host submission-window limit for the asynchronous Submit path: a
-  /// Submit stalls (in virtual time) while this many commands are in
-  /// flight. 0 = unlimited, which keeps purely synchronous callers'
-  /// timing identical to the pre-async model.
-  uint32_t host_queue_depth = 0;
   /// Ordered command queue (DuraSSD firmware feature, Sec. 3.3). Keeps the
   /// host-visible completion order equal to arrival order so WAL ordering
   /// survives without barriers.

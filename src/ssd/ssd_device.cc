@@ -16,6 +16,14 @@ constexpr uint32_t kLogSegmentMagic = 0xD0D01065;
 constexpr SimTime kFlushEmptyOverhead = 100 * kMicrosecond;
 constexpr SimTime kCleanBootTime = 1 * kMillisecond;
 constexpr SimTime kVolatileRecoveryScan = 50 * kMillisecond;
+/// NCQ depth (SATA: 31/32 outstanding commands).
+constexpr uint32_t kNcqDepth = 32;
+/// Mapping entries that fit one NAND journal page when persisting.
+constexpr size_t kMappingEntriesPerPage = 1024;
+/// The firmware checkpoints its mapping journal on its own once this many
+/// entries are dirty, like real controllers do; only writes after the last
+/// internal checkpoint are at risk on a volatile device.
+constexpr size_t kMappingAutopersistThreshold = 65536;
 }  // namespace
 
 SsdConfig SsdDevice::SizeDumpArea(SsdConfig cfg) {
@@ -42,7 +50,6 @@ SsdDevice::SsdDevice(SsdConfig config)
     : cfg_(SizeDumpArea(std::move(config))),
       flash_(FlashArray::Options{cfg_.geometry, cfg_.store_data, cfg_.faults}),
       ftl_(&flash_, Ftl::Options{cfg_.sector_size, cfg_.over_provision,
-                                 cfg_.gc_free_block_threshold,
                                  cfg_.dump_blocks_per_plane,
                                  cfg_.ecc_correctable_bits,
                                  cfg_.read_retry_limit,
@@ -52,7 +59,7 @@ SsdDevice::SsdDevice(SsdConfig config)
                                  cfg_.resolved_log_blocks_per_plane()}),
       bus_(1),
       fw_(cfg_.fw_parallelism),
-      ncq_(cfg_.ncq_depth),
+      ncq_(kNcqDepth),
       scheduler_(this,
                  DestageScheduler::Options{
                      cfg_.geometry.page_size / cfg_.sector_size,
@@ -74,7 +81,6 @@ SsdDevice::SsdDevice(SsdConfig config)
       h_epoch_size_(metrics_.GetHistogram("ssd.epoch_size")),
       h_qd_(metrics_.GetHistogram("ssd.qd")) {
   set_qd_histogram(h_qd_);
-  set_queue_depth_limit(cfg_.host_queue_depth);
   log_segment_pages_ = cfg_.resolved_log_segment_pages();
 }
 
@@ -92,22 +98,6 @@ BlockDevice::Result SsdDevice::Execute(SimTime t, const Command& cmd) {
       return supports_barrier() ? DoBarrier(t) : DoFlush(t);
   }
   return {Status::InvalidArgument("unknown command op"), t};
-}
-
-bool SsdDevice::MaybeTripScheduledCut(SimTime now) {
-  if (!cut_armed_ || now < scheduled_cut_) return false;
-  cut_armed_ = false;
-  stats_.scheduled_cuts_tripped++;
-  PowerCut(scheduled_cut_);
-  return true;
-}
-
-bool SsdDevice::CutBeforeCompletion(SimTime done) {
-  if (!cut_armed_ || done <= scheduled_cut_) return false;
-  cut_armed_ = false;
-  stats_.scheduled_cuts_tripped++;
-  PowerCut(scheduled_cut_);
-  return true;
 }
 
 void SsdDevice::RollbackCommandEntries(Lpn lpn, uint32_t nsec, SimTime ack) {
@@ -390,7 +380,7 @@ void SsdDevice::MaybeIdleDrain(SimTime now) {
 }
 
 BlockDevice::Result SsdDevice::DoWrite(SimTime now, Lpn lpn, Slice data) {
-  if (MaybeTripScheduledCut(now)) return {Status::DeviceOffline(), now};
+  if (TripCutDueAt(now)) return {Status::DeviceOffline(), now};
   if (!powered_) return {Status::DeviceOffline(), now};
   if (ftl_.degraded()) {
     // Sticky read-only mode: refuse before touching the cache so nothing
@@ -445,7 +435,7 @@ BlockDevice::Result SsdDevice::DoWrite(SimTime now, Lpn lpn, Slice data) {
     }
     const SimTime ack =
         last_done + MappingPersistCost(ftl_.dirty_mapping_entries());
-    if (CutBeforeCompletion(ack)) return {Status::DeviceOffline(), now};
+    if (TripCutBeforeCompletion(ack)) return {Status::DeviceOffline(), now};
     ftl_.PersistMapping();
     max_time_seen_ = std::max(max_time_seen_, ack);
     // Counted here, not at entry: a failed program above must not inflate
@@ -524,10 +514,10 @@ BlockDevice::Result SsdDevice::DoWrite(SimTime now, Lpn lpn, Slice data) {
           return {s, now};
         }
       }
-      if (ftl_.dirty_mapping_entries() > cfg_.mapping_autopersist_threshold) {
+      if (ftl_.dirty_mapping_entries() > kMappingAutopersistThreshold) {
         ftl_.PersistMapping();
       }
-      if (CutBeforeCompletion(ack)) return {Status::DeviceOffline(), now};
+      if (TripCutBeforeCompletion(ack)) return {Status::DeviceOffline(), now};
       if (ordered_writes()) last_ordered_ack_ = ack;
       epoch_max_ack_ = std::max(epoch_max_ack_, ack);
       epoch_writes_++;
@@ -615,11 +605,11 @@ BlockDevice::Result SsdDevice::DoWrite(SimTime now, Lpn lpn, Slice data) {
   }
 
   // Firmware-internal mapping checkpoint (invisible to the host).
-  if (ftl_.dirty_mapping_entries() > cfg_.mapping_autopersist_threshold) {
+  if (ftl_.dirty_mapping_entries() > kMappingAutopersistThreshold) {
     ftl_.PersistMapping();
   }
 
-  if (CutBeforeCompletion(ack)) return {Status::DeviceOffline(), now};
+  if (TripCutBeforeCompletion(ack)) return {Status::DeviceOffline(), now};
   if (ordered_writes()) last_ordered_ack_ = ack;
   // Epoch bookkeeping is unconditional (pure state, no timing effect) so
   // the first BARRIER correctly seals everything written since boot.
@@ -634,7 +624,7 @@ BlockDevice::Result SsdDevice::DoWrite(SimTime now, Lpn lpn, Slice data) {
 
 BlockDevice::Result SsdDevice::DoRead(SimTime now, Lpn lpn, uint32_t nsec,
                                       std::string* out) {
-  if (MaybeTripScheduledCut(now)) return {Status::DeviceOffline(), now};
+  if (TripCutDueAt(now)) return {Status::DeviceOffline(), now};
   if (!powered_) return {Status::DeviceOffline(), now};
   if (nsec == 0 || lpn + nsec > num_sectors()) {
     return {Status::InvalidArgument("read beyond device capacity"), now};
@@ -709,7 +699,7 @@ BlockDevice::Result SsdDevice::DoRead(SimTime now, Lpn lpn, uint32_t nsec,
   const ResourceTimeline::Grant bus =
       bus_.Acquire(media_done, BusTime(nsec, false));
   h_bus_ns_->Record(bus.done - bus.start);
-  if (CutBeforeCompletion(bus.done)) return {Status::DeviceOffline(), now};
+  if (TripCutBeforeCompletion(bus.done)) return {Status::DeviceOffline(), now};
   max_time_seen_ = std::max(max_time_seen_, bus.done);
   if (tracer_) tracer_->Record(bus.done, TraceEventType::kReadDone, lpn, nsec);
   // An uncorrectable sector is still transferred (with its damage) so the
@@ -720,13 +710,12 @@ BlockDevice::Result SsdDevice::DoRead(SimTime now, Lpn lpn, uint32_t nsec,
 SimTime SsdDevice::MappingPersistCost(size_t entries) const {
   if (entries == 0) return 0;
   const size_t pages =
-      (entries + cfg_.mapping_entries_per_page - 1) /
-      cfg_.mapping_entries_per_page;
+      (entries + kMappingEntriesPerPage - 1) / kMappingEntriesPerPage;
   return static_cast<SimTime>(pages) * cfg_.geometry.program_latency;
 }
 
 BlockDevice::Result SsdDevice::DoFlush(SimTime now) {
-  if (MaybeTripScheduledCut(now)) return {Status::DeviceOffline(), now};
+  if (TripCutDueAt(now)) return {Status::DeviceOffline(), now};
   if (!powered_) return {Status::DeviceOffline(), now};
   max_time_seen_ = std::max(max_time_seen_, now);
   stats_.flushes++;
@@ -734,7 +723,7 @@ BlockDevice::Result SsdDevice::DoFlush(SimTime now) {
   if (!cfg_.cache_enabled) {
     // Write-through device: nothing cached, mapping persisted per write.
     const SimTime done = now + cfg_.bus_cmd_overhead + kFlushEmptyOverhead;
-    if (CutBeforeCompletion(done)) return {Status::DeviceOffline(), now};
+    if (TripCutBeforeCompletion(done)) return {Status::DeviceOffline(), now};
     return {Status::OK(), done};
   }
 
@@ -745,7 +734,7 @@ BlockDevice::Result SsdDevice::DoFlush(SimTime now) {
     // arrived before it are acknowledged by construction (synchronous
     // acks), so the command completes at queue-processing cost.
     const SimTime done = now + cfg_.bus_cmd_overhead + 25 * kMicrosecond;
-    if (CutBeforeCompletion(done)) return {Status::DeviceOffline(), now};
+    if (TripCutBeforeCompletion(done)) return {Status::DeviceOffline(), now};
     return {Status::OK(), done};
   }
 
@@ -779,7 +768,7 @@ BlockDevice::Result SsdDevice::DoFlush(SimTime now) {
   // acknowledged before that start time is covered by it. This is where
   // group commit materializes at the device level.
   if (last_flush_start_ >= now) {
-    if (CutBeforeCompletion(last_flush_done_)) {
+    if (TripCutBeforeCompletion(last_flush_done_)) {
       return {Status::DeviceOffline(), now};
     }
     return {Status::OK(), last_flush_done_};
@@ -816,13 +805,13 @@ BlockDevice::Result SsdDevice::DoFlush(SimTime now) {
   // After the window bookkeeping on purpose: if the armed cut lands inside
   // this flush, PowerCut must see the flush as in progress (torn-write
   // exposure on volatile devices).
-  if (CutBeforeCompletion(done)) return {Status::DeviceOffline(), now};
+  if (TripCutBeforeCompletion(done)) return {Status::DeviceOffline(), now};
   max_time_seen_ = std::max(max_time_seen_, done);
   return {Status::OK(), done};
 }
 
 BlockDevice::Result SsdDevice::DoBarrier(SimTime now) {
-  if (MaybeTripScheduledCut(now)) return {Status::DeviceOffline(), now};
+  if (TripCutDueAt(now)) return {Status::DeviceOffline(), now};
   if (!powered_) return {Status::DeviceOffline(), now};
   max_time_seen_ = std::max(max_time_seen_, now);
 
@@ -834,7 +823,7 @@ BlockDevice::Result SsdDevice::DoBarrier(SimTime now) {
   // acknowledged — i.e. durably framed in the capacitor-backed cache — so
   // sealing is pure bookkeeping.)
   const SimTime done = now + cfg_.bus_cmd_overhead + 2 * kMicrosecond;
-  if (CutBeforeCompletion(done)) return {Status::DeviceOffline(), now};
+  if (TripCutBeforeCompletion(done)) return {Status::DeviceOffline(), now};
 
   epoch_floor_ack_ = std::max(epoch_floor_ack_, epoch_max_ack_);
   stats_.barriers++;
@@ -920,7 +909,7 @@ void SsdDevice::DumpOnCapacitor(
 
 void SsdDevice::PowerCut(SimTime t) {
   if (!powered_) return;
-  cut_armed_ = false;
+  CancelScheduledPowerCut();
   powered_ = false;
   emergency_shutdown_ = true;
   if (tracer_) {

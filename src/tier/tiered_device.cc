@@ -439,11 +439,8 @@ void TieredDevice::MaybeDestage(SimTime now) {
 
 BlockDevice::Result TieredDevice::Execute(SimTime t, const Command& cmd) {
   if (!powered_) return {Status::DeviceOffline("tier powered off"), t};
-  if (cut_armed_ && t >= scheduled_cut_) {
-    const SimTime cut = scheduled_cut_;
-    ++stats_.scheduled_cuts_tripped;
-    PowerCut(cut);
-    return {Status::DeviceOffline("scheduled power cut"), cut};
+  if (TripCutDueAt(t)) {
+    return {Status::DeviceOffline("scheduled power cut"), scheduled_cut()};
   }
   MaybeDestage(t);
 
@@ -463,16 +460,11 @@ BlockDevice::Result TieredDevice::Execute(SimTime t, const Command& cmd) {
       break;
   }
 
-  if (cut_armed_ && r.done > scheduled_cut_) {
-    // Causality guard (ArrayDevice/SsdDevice contract): a command whose
-    // completion lands past the armed instant must not be acknowledged.
-    // Member effects carrying post-cut timestamps are reverted by each
-    // member's own PowerCut rollback; the directory is rebuilt from the
-    // journal the flash rolled back consistently.
-    const SimTime cut = scheduled_cut_;
-    ++stats_.scheduled_cuts_tripped;
-    PowerCut(cut);
-    return {Status::DeviceOffline("scheduled power cut"), cut};
+  // Causality guard: member effects carrying post-cut timestamps are
+  // reverted by each member's own PowerCut rollback; the directory is
+  // rebuilt from the journal the flash rolled back consistently.
+  if (TripCutBeforeCompletion(r.done)) {
+    return {Status::DeviceOffline("scheduled power cut"), scheduled_cut()};
   }
   if (r.status.ok()) last_activity_ = std::max(last_activity_, r.done);
   return r;
@@ -693,7 +685,7 @@ BlockDevice::Result TieredDevice::DoFlush(SimTime now) {
 // ---------------------------------------------------------------------------
 
 void TieredDevice::PowerCut(SimTime t) {
-  cut_armed_ = false;
+  CancelScheduledPowerCut();
   if (!powered_) return;
   powered_ = false;
   flash_->PowerCut(t);

@@ -124,7 +124,6 @@ class TieredDevice : public BlockDevice {
     uint64_t map_page_writes = 0;    ///< Journal page programs (deltas).
     uint64_t map_checkpoints = 0;    ///< Full directory checkpoints.
     uint64_t flushes = 0;
-    uint64_t scheduled_cuts_tripped = 0;
     // --- Last PowerOn recovery ---
     uint64_t recovered_entries = 0;  ///< Directory entries rebuilt.
     uint64_t recovered_dirty = 0;    ///< ... of which were dirty.
@@ -162,22 +161,12 @@ class TieredDevice : public BlockDevice {
   bool ordered_writes() const override { return true; }
   bool supports_barrier() const override { return false; }
 
-  /// Arms a power cut (crash-harness hook; same contract as
-  /// SsdDevice/ArrayDevice::SchedulePowerCut). Members are NOT armed: the
-  /// tier guards its own Execute and cascades PowerCut to both members.
-  void SchedulePowerCut(SimTime t) {
-    scheduled_cut_ = t;
-    cut_armed_ = true;
-  }
-  void CancelScheduledPowerCut() { cut_armed_ = false; }
-  bool scheduled_cut_armed() const { return cut_armed_; }
-
   /// Clean shutdown: destage every dirty sector, flush the capacity tier,
   /// journal the clean state, then shut both members down.
   Status Shutdown(SimTime now);
 
-  bool powered() const { return powered_; }
-  bool degraded() const { return flash_->degraded(); }
+  bool powered() const override { return powered_; }
+  bool degraded() const override { return flash_->degraded(); }
   uint64_t epoch_ordering_violations() const {
     return flash_->stats().epoch_ordering_violations;
   }
@@ -328,8 +317,6 @@ class TieredDevice : public BlockDevice {
   uint64_t seq_run_ = 0;
 
   bool powered_ = true;
-  bool cut_armed_ = false;
-  SimTime scheduled_cut_ = 0;
   SimTime last_activity_ = 0;
   SimTime last_recovery_duration_ = 0;
   bool store_data_ = true;

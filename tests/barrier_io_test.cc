@@ -27,6 +27,7 @@
 #include "db/wal.h"
 #include "host/sim_file.h"
 #include "sim/client_scheduler.h"
+#include "sim/stack.h"
 #include "ssd/ssd_config.h"
 #include "ssd/ssd_device.h"
 
@@ -314,14 +315,16 @@ SsdConfig GroupCommitDeviceConfig() {
   return dc;
 }
 
-Database::Options BarrierDbOptions() {
-  Database::Options dbo;
-  dbo.pool_bytes = 2 * kMiB;
-  dbo.double_write = false;
-  dbo.checkpoint_log_bytes = 4 * kMiB;
-  dbo.checkpoint_queue_depth = 8;
-  dbo.durability_mode = DurabilityMode::kBarrier;
-  return dbo;
+StackSpec BarrierSpec() {
+  StackSpec spec;
+  spec.ssd = GroupCommitDeviceConfig();
+  spec.engine = StackSpec::Engine::kDatabase;
+  spec.db.pool_bytes = 2 * kMiB;
+  spec.db.double_write = false;
+  spec.db.checkpoint_log_bytes = 4 * kMiB;
+  spec.db.checkpoint_queue_depth = 8;
+  spec.db.durability_mode = DurabilityMode::kBarrier;
+  return spec;
 }
 
 TEST(BarrierGroupCommit, WalBarrierNeverSplitsAnAckedGroup) {
@@ -364,15 +367,15 @@ TEST(BarrierGroupCommit, WalBarrierNeverSplitsAnAckedGroup) {
 /// committers in barrier mode. Returns the acked key/values; `*end`
 /// receives the virtual end time.
 std::map<std::string, std::string> RunBarrierCommitters(
-    SsdDevice* dev, SimFileSystem* fs, uint32_t clients, uint64_t total_ops,
-    SimTime cut, SimTime* end, uint64_t* max_group) {
-  IoContext io;
-  if (cut > 0) dev->SchedulePowerCut(cut);
+    Stack& s, uint32_t clients, uint64_t total_ops, SimTime cut, SimTime* end,
+    uint64_t* max_group) {
+  IoContext& io = s.io;
+  if (cut > 0) s.dev()->SchedulePowerCut(cut);
   std::map<std::string, std::string> acked;
-  auto dbo = Database::Open(io, fs, fs, BarrierDbOptions());
-  EXPECT_TRUE(dbo.ok());
-  if (!dbo.ok()) return acked;
-  std::unique_ptr<Database> db = std::move(*dbo);
+  const Status opened = s.Open();
+  EXPECT_TRUE(opened.ok()) << opened.ToString();
+  if (!opened.ok()) return acked;
+  Database* db = s.db();
   auto tree = db->CreateTree(io, "t");
   EXPECT_TRUE(tree.ok());
   if (!tree.ok()) return acked;
@@ -407,11 +410,10 @@ std::map<std::string, std::string> RunBarrierCommitters(
 TEST(BarrierGroupCommit, AckedCommitsSurviveMidRunPowerCut) {
   SimTime total = 0;
   {
-    SsdDevice dev(GroupCommitDeviceConfig());
-    SimFileSystem fs(&dev, {});
+    Stack stack(BarrierSpec());
     uint64_t groups = 0;
     const auto acked =
-        RunBarrierCommitters(&dev, &fs, 8, 48, 0, &total, &groups);
+        RunBarrierCommitters(stack, 8, 48, 0, &total, &groups);
     EXPECT_EQ(acked.size(), 48u);
     // Barrier commits are ~100x cheaper than a flush drain, so committers
     // serialize instead of queueing behind a long flush — large groups
@@ -420,29 +422,25 @@ TEST(BarrierGroupCommit, AckedCommitsSurviveMidRunPowerCut) {
     // and the WAL-level test above proves riders share a barrier when
     // clocks do overlap.
     EXPECT_GE(groups, 1u);
-    EXPECT_GT(dev.stats().barriers, 0u);
+    EXPECT_GT(stack.ssd()->stats().barriers, 0u);
   }
 
   for (double frac : {0.35, 0.6, 0.85}) {
-    SsdDevice dev(GroupCommitDeviceConfig());
-    SimFileSystem fs(&dev, {});
+    Stack stack(BarrierSpec());
     const SimTime cut = static_cast<SimTime>(total * frac) + 7;
     SimTime end = 0;
     const std::map<std::string, std::string> acked =
-        RunBarrierCommitters(&dev, &fs, 8, 48, cut, &end, nullptr);
+        RunBarrierCommitters(stack, 8, 48, cut, &end, nullptr);
 
-    if (dev.powered()) {
-      dev.CancelScheduledPowerCut();
-      dev.PowerCut(std::max(cut, end));
-    }
-    dev.PowerOn();
-    EXPECT_EQ(dev.stats().epoch_ordering_violations, 0u) << "cut " << cut;
+    stack.Crash(std::max(cut, end));
+    EXPECT_EQ(stack.ssd()->stats().epoch_ordering_violations, 0u)
+        << "cut " << cut;
 
-    IoContext io;
+    IoContext& io = stack.io;
     io.AdvanceTo(end + kMillisecond);
-    auto reopened = Database::Open(io, &fs, &fs, BarrierDbOptions());
-    ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
-    std::unique_ptr<Database> db = std::move(*reopened);
+    const Status reopened = stack.Open();
+    ASSERT_TRUE(reopened.ok()) << reopened.ToString();
+    Database* db = stack.db();
     if (acked.empty()) continue;
     auto tree = db->GetTreeId("t");
     ASSERT_TRUE(tree.ok()) << "schema lost despite acked commits";

@@ -4,13 +4,10 @@
 // the degraded device still recovers a consistent (read-only) state.
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <string>
 
 #include "common/trace.h"
-#include "db/database.h"
-#include "host/sim_file.h"
-#include "kv/kvstore.h"
+#include "sim/stack.h"
 #include "ssd/ssd_config.h"
 #include "ssd/ssd_device.h"
 
@@ -161,135 +158,106 @@ TEST(DegradedDeviceTest, AsyncSubmitPollAwaitSurfaceDegradedErrors) {
 
 // --------------------------- Database -------------------------------------
 
-struct DbStack {
-  DbStack() {
-    SsdConfig dc = SsdConfig::DuraSsd();
-    dc.geometry = FlashGeometry::Tiny();
-    dc.geometry.blocks_per_plane = 64;
-    dc.geometry.pages_per_block = 32;
-    dc.capacitor_budget_bytes = 16 * kMiB;
-    device = std::make_unique<SsdDevice>(EagerDestage(dc));
-    device->set_tracer(&tracer);
-    SimFileSystem::Options fso;
-    fso.write_barriers = true;
-    fs = std::make_unique<SimFileSystem>(device.get(), fso);
-    options.pool_bytes = 2 * kMiB;
-    options.double_write = true;
-    options.checkpoint_log_bytes = 2 * kMiB;
-  }
-
-  Status Open() {
-    auto d = Database::Open(io, fs.get(), fs.get(), options);
-    if (!d.ok()) return d.status();
-    db = std::move(*d);
-    db->set_tracer(&tracer);
-    return Status::OK();
-  }
-
-  IoContext io;
-  Tracer tracer;
-  std::unique_ptr<SsdDevice> device;
-  std::unique_ptr<SimFileSystem> fs;
-  std::unique_ptr<Database> db;
-  Database::Options options;
-};
+/// A small eager-destage DuraSSD, barriers on, running `engine`.
+StackSpec EngineSpec(StackSpec::Engine engine) {
+  StackSpec spec;
+  spec.ssd.geometry = FlashGeometry::Tiny();
+  spec.ssd.geometry.blocks_per_plane = 64;
+  spec.ssd.geometry.pages_per_block = 32;
+  spec.ssd.capacitor_budget_bytes = 16 * kMiB;
+  spec.ssd = EagerDestage(spec.ssd);
+  spec.engine = engine;
+  spec.db.pool_bytes = 2 * kMiB;
+  spec.db.double_write = true;
+  spec.db.checkpoint_log_bytes = 2 * kMiB;
+  spec.kv.batch_size = 4;
+  return spec;
+}
 
 TEST(DegradedDatabaseTest, AbortsInFlightTxnKeepsServingReadsAndReboots) {
-  DbStack s;
+  Stack s(EngineSpec(StackSpec::Engine::kDatabase));
+  Tracer tracer;
+  s.ssd()->set_tracer(&tracer);
   ASSERT_TRUE(s.Open().ok());
-  auto tree = s.db->CreateTree(s.io, "t");
+  s.db()->set_tracer(&tracer);
+  auto tree = s.db()->CreateTree(s.io, "t");
   ASSERT_TRUE(tree.ok());
 
   // Committed history that must survive everything below.
   for (int i = 0; i < 20; ++i) {
-    auto txn = s.db->Begin(s.io);
+    auto txn = s.db()->Begin(s.io);
     ASSERT_TRUE(txn.ok());
-    ASSERT_TRUE(s.db->Put(s.io, *txn, *tree, "k" + std::to_string(i),
-                          "v" + std::to_string(i))
+    ASSERT_TRUE(s.db()->Put(s.io, *txn, *tree, "k" + std::to_string(i),
+                            "v" + std::to_string(i))
                     .ok());
-    ASSERT_TRUE(s.db->Commit(s.io, *txn).ok());
+    ASSERT_TRUE(s.db()->Commit(s.io, *txn).ok());
   }
   // Persist the mapping + home pages so the later capacitor dump and the
   // reboot recovery have nothing dirty left to write.
-  ASSERT_TRUE(s.db->Checkpoint(s.io).ok());
+  ASSERT_TRUE(s.db()->Checkpoint(s.io).ok());
 
-  ExhaustSpares(*s.device, s.io);
+  ExhaustSpares(*s.ssd(), s.io);
 
   // The next transaction dies at commit (the WAL fsync hits the degraded
   // device); the database must abort it cleanly and flip read-only.
-  auto txn = s.db->Begin(s.io);
+  auto txn = s.db()->Begin(s.io);
   ASSERT_TRUE(txn.ok());
-  Status put = s.db->Put(s.io, *txn, *tree, "doomed", "never");
+  Status put = s.db()->Put(s.io, *txn, *tree, "doomed", "never");
   Status commit =
-      put.ok() ? s.db->Commit(s.io, *txn) : put;
+      put.ok() ? s.db()->Commit(s.io, *txn) : put;
   ASSERT_TRUE(commit.IsResourceExhausted()) << commit.ToString();
-  EXPECT_TRUE(s.db->read_only());
-  EXPECT_EQ(s.db->stats().degraded_aborts, 1u);
-  EXPECT_GE(s.db->metrics().counters().at("db.degraded_aborts"), 1u);
+  EXPECT_TRUE(s.db()->read_only());
+  EXPECT_EQ(s.db()->stats().degraded_aborts, 1u);
+  EXPECT_GE(s.db()->metrics().counters().at("db.degraded_aborts"), 1u);
 
   // The aborted mutation is invisible; committed data keeps serving.
   std::string got;
-  EXPECT_TRUE(s.db->Get(s.io, *tree, "doomed", &got).IsNotFound());
+  EXPECT_TRUE(s.db()->Get(s.io, *tree, "doomed", &got).IsNotFound());
   for (int i = 0; i < 20; ++i) {
     ASSERT_TRUE(
-        s.db->Get(s.io, *tree, "k" + std::to_string(i), &got).ok())
+        s.db()->Get(s.io, *tree, "k" + std::to_string(i), &got).ok())
         << i;
     EXPECT_EQ(got, "v" + std::to_string(i));
   }
 
   // Every mutating entry point is refused with the same status.
-  EXPECT_TRUE(s.db->Begin(s.io).status().IsResourceExhausted());
-  EXPECT_TRUE(s.db->Checkpoint(s.io).IsResourceExhausted());
-  EXPECT_TRUE(s.db->CreateTree(s.io, "u").status().IsResourceExhausted());
+  EXPECT_TRUE(s.db()->Begin(s.io).status().IsResourceExhausted());
+  EXPECT_TRUE(s.db()->Checkpoint(s.io).IsResourceExhausted());
+  EXPECT_TRUE(s.db()->CreateTree(s.io, "u").status().IsResourceExhausted());
 
   // The abort showed up in the trace.
   bool saw_abort = false;
-  for (const TraceEvent& e : s.tracer.Events()) {
+  for (const TraceEvent& e : tracer.Events()) {
     saw_abort |= (e.type == TraceEventType::kTxnAbort);
   }
   EXPECT_TRUE(saw_abort);
 
   // Reboot the degraded device: recovery must still produce a consistent
   // database — read-only, with all committed data intact.
-  s.db.reset();
-  s.device->PowerCut(s.io.now + 1);
-  s.device->PowerOn();
-  s.io.now = 0;
-  ASSERT_TRUE(s.device->degraded());
+  s.Crash(s.io.now + 1);
+  ASSERT_TRUE(s.ssd()->degraded());
   ASSERT_TRUE(s.Open().ok()) << "recovery of a degraded device must succeed";
-  EXPECT_TRUE(s.db->read_only());
-  auto tid = s.db->GetTreeId("t");
+  EXPECT_TRUE(s.db()->read_only());
+  auto tid = s.db()->GetTreeId("t");
   ASSERT_TRUE(tid.ok());
   for (int i = 0; i < 20; ++i) {
     ASSERT_TRUE(
-        s.db->Get(s.io, *tid, "k" + std::to_string(i), &got).ok())
+        s.db()->Get(s.io, *tid, "k" + std::to_string(i), &got).ok())
         << i;
     EXPECT_EQ(got, "v" + std::to_string(i));
   }
-  EXPECT_TRUE(s.db->Get(s.io, *tid, "doomed", &got).IsNotFound());
+  EXPECT_TRUE(s.db()->Get(s.io, *tid, "doomed", &got).IsNotFound());
 }
 
 // --------------------------- KvStore ---------------------------------------
 
 TEST(DegradedKvStoreTest, RollsBackInFlightBatchAndStaysReadable) {
-  SsdConfig dc = SsdConfig::DuraSsd();
-  dc.geometry = FlashGeometry::Tiny();
-  dc.geometry.blocks_per_plane = 64;
-  dc.geometry.pages_per_block = 32;
-  dc.capacitor_budget_bytes = 16 * kMiB;
-  SsdDevice dev(EagerDestage(dc));
+  Stack s(EngineSpec(StackSpec::Engine::kKvStore));
   Tracer tracer;
-  dev.set_tracer(&tracer);
-  SimFileSystem::Options fso;
-  fso.write_barriers = true;
-  SimFileSystem fs(&dev, fso);
-
-  IoContext io;
-  KvStore::Options ko;
-  ko.batch_size = 4;
-  auto opened = KvStore::Open(io, &fs, "s.couch", ko);
-  ASSERT_TRUE(opened.ok());
-  std::unique_ptr<KvStore> kv = std::move(*opened);
+  s.ssd()->set_tracer(&tracer);
+  ASSERT_TRUE(s.Open().ok());
+  KvStore* kv = s.kv();
+  IoContext& io = s.io;
   kv->set_tracer(&tracer);
 
   // Two full committed batches.
@@ -300,7 +268,7 @@ TEST(DegradedKvStoreTest, RollsBackInFlightBatchAndStaysReadable) {
   ASSERT_EQ(kv->stats().commits, 2u);
   ASSERT_EQ(kv->doc_count(), 8u);
 
-  ExhaustSpares(dev, io);
+  ExhaustSpares(*s.ssd(), io);
 
   // Three puts buffer in the tail; the fourth fills the batch, triggers the
   // header write, hits the degraded device, and the whole batch rolls back.
@@ -337,16 +305,13 @@ TEST(DegradedKvStoreTest, RollsBackInFlightBatchAndStaysReadable) {
   EXPECT_TRUE(saw_abort);
 
   // Reboot: the store recovers to the same committed state.
-  kv.reset();
-  dev.PowerCut(io.now + 1);
-  dev.PowerOn();
-  io.now = 0;
-  ASSERT_TRUE(dev.degraded());
-  auto reopened = KvStore::Open(io, &fs, "s.couch", ko);
+  s.Crash(io.now + 1);
+  ASSERT_TRUE(s.ssd()->degraded());
+  const Status reopened = s.Open();
   ASSERT_TRUE(reopened.ok())
       << "recovery of a degraded device must succeed: "
-      << reopened.status().ToString();
-  kv = std::move(*reopened);
+      << reopened.ToString();
+  kv = s.kv();
   EXPECT_EQ(kv->doc_count(), 8u);
   for (int i = 0; i < 8; ++i) {
     ASSERT_TRUE(kv->Get(io, "k" + std::to_string(i), &got).ok()) << i;

@@ -85,7 +85,7 @@ class FaultInjectionFtlTest : public ::testing::Test {
  protected:
   FaultInjectionFtlTest()
       : flash_(FlashArray::Options{FlashGeometry::Tiny(), true}),
-        ftl_(&flash_, Ftl::Options{4 * kKiB, 0.25, 2, 2}) {}
+        ftl_(&flash_, Ftl::Options{4 * kKiB, 0.25, 2}) {}
 
   Status WriteOne(SimTime now, Lpn lpn, const std::string& data,
                   SimTime* done = nullptr) {
@@ -175,7 +175,7 @@ TEST_F(FaultInjectionFtlTest, ReadRetryRecoversFromBurstErrors) {
 TEST(FaultInjectionEccTest, UncorrectableReadReportsCorruption) {
   FlashArray flash(FlashArray::Options{FlashGeometry::Tiny(), true});
   // Tight ECC: 2 correctable bits, 2 retries.
-  Ftl ftl(&flash, Ftl::Options{4 * kKiB, 0.25, 2, 2, 2, 2, 3});
+  Ftl ftl(&flash, Ftl::Options{4 * kKiB, 0.25, 2, 2, 2, 3});
 
   const std::string data = SectorData('u');
   std::vector<Ftl::SectorWrite> w{{7, &data}};

@@ -14,7 +14,7 @@ class FtlTest : public ::testing::Test {
  protected:
   FtlTest()
       : flash_(FlashArray::Options{FlashGeometry::Tiny(), true}),
-        ftl_(&flash_, Ftl::Options{4 * kKiB, 0.25, 2, 2}) {}
+        ftl_(&flash_, Ftl::Options{4 * kKiB, 0.25, 2}) {}
 
   std::string SectorData(char fill) const { return std::string(4 * kKiB, fill); }
 

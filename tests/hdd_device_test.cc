@@ -140,7 +140,7 @@ TEST(HddDeviceTest, ScheduledCutTripsOnSubmissionAtOrPastInstant) {
 TEST(HddDeviceTest, ScheduledCutGuardsCompletionCausality) {
   // An uncached write submitted BEFORE the instant whose media completion
   // lands PAST it must not be acknowledged — the same causality guard
-  // SsdDevice::CutBeforeCompletion applies (a media pass costs ms, so an
+  // BlockDevice::TripCutBeforeCompletion applies (a media pass costs ms, so an
   // instant shortly after submission always lands mid-command).
   HddDevice hdd(SmallHdd(false));
   hdd.SchedulePowerCut(100 * kMicrosecond);

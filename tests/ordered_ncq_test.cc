@@ -23,6 +23,7 @@
 #include "db/wal.h"
 #include "host/sim_file.h"
 #include "sim/client_scheduler.h"
+#include "sim/stack.h"
 #include "ssd/ssd_config.h"
 #include "ssd/ssd_device.h"
 
@@ -108,9 +109,8 @@ TEST(AsyncApi, PollReturnsCompletionsInDoneOrder) {
 }
 
 TEST(AsyncApi, QueueDepthLimitStallsSubmission) {
-  SsdConfig cfg = SmallConfig(true);
-  cfg.host_queue_depth = 1;
-  SsdDevice limited(cfg);
+  SsdDevice limited(SmallConfig(true));
+  limited.set_queue_depth_limit(1);
   SsdDevice unlimited(SmallConfig(true));
 
   for (int i = 0; i < 8; ++i) {
@@ -363,13 +363,15 @@ SsdConfig GroupCommitDeviceConfig() {
   return dc;
 }
 
-Database::Options GroupCommitDbOptions() {
-  Database::Options dbo;
-  dbo.pool_bytes = 2 * kMiB;
-  dbo.double_write = false;
-  dbo.checkpoint_log_bytes = 4 * kMiB;
-  dbo.checkpoint_queue_depth = 8;  // Exercise the async destage path.
-  return dbo;
+StackSpec GroupCommitSpec() {
+  StackSpec spec;
+  spec.ssd = GroupCommitDeviceConfig();
+  spec.engine = StackSpec::Engine::kDatabase;
+  spec.db.pool_bytes = 2 * kMiB;
+  spec.db.double_write = false;
+  spec.db.checkpoint_log_bytes = 4 * kMiB;
+  spec.db.checkpoint_queue_depth = 8;  // Exercise the async destage path.
+  return spec;
 }
 
 /// Runs `total_ops` single-put transactions from `clients` interleaved
@@ -377,15 +379,15 @@ Database::Options GroupCommitDbOptions() {
 /// `*end` receives the virtual end time. Stops issuing once a commit
 /// fails (the scheduled power cut tripped).
 std::map<std::string, std::string> RunCommitters(
-    SsdDevice* dev, SimFileSystem* fs, uint32_t clients, uint64_t total_ops,
-    SimTime cut, SimTime* end, uint64_t* max_group) {
-  IoContext io;
-  if (cut > 0) dev->SchedulePowerCut(cut);
+    Stack& s, uint32_t clients, uint64_t total_ops, SimTime cut, SimTime* end,
+    uint64_t* max_group) {
+  IoContext& io = s.io;
+  if (cut > 0) s.dev()->SchedulePowerCut(cut);
   std::map<std::string, std::string> acked;
-  auto dbo = Database::Open(io, fs, fs, GroupCommitDbOptions());
-  EXPECT_TRUE(dbo.ok());
-  if (!dbo.ok()) return acked;
-  std::unique_ptr<Database> db = std::move(*dbo);
+  const Status opened = s.Open();
+  EXPECT_TRUE(opened.ok()) << opened.ToString();
+  if (!opened.ok()) return acked;
+  Database* db = s.db();
   auto tree = db->CreateTree(io, "t");
   EXPECT_TRUE(tree.ok());
   if (!tree.ok()) return acked;
@@ -427,35 +429,29 @@ TEST(GroupCommit, EveryAckedCommitSurvivesMidRunPowerCut) {
   // durable-cache deployment is covered by the crash-torture sweep.)
   SimTime total = 0;
   {
-    SsdDevice dev(GroupCommitDeviceConfig());
-    SimFileSystem fs(&dev, {});
+    Stack stack(GroupCommitSpec());
     uint64_t groups = 0;
     const auto acked =
-        RunCommitters(&dev, &fs, 8, 48, 0, &total, &groups);
+        RunCommitters(stack, 8, 48, 0, &total, &groups);
     EXPECT_EQ(acked.size(), 48u);
     // Real grouping occurred: at least one device sync carried 2+ commits.
     EXPECT_GE(groups, 2u) << "no group commit formed in the probe run";
   }
 
   for (double frac : {0.35, 0.6, 0.85}) {
-    SsdDevice dev(GroupCommitDeviceConfig());
-    SimFileSystem fs(&dev, {});
+    Stack stack(GroupCommitSpec());
     const SimTime cut = static_cast<SimTime>(total * frac) + 7;
     SimTime end = 0;
     const std::map<std::string, std::string> acked =
-        RunCommitters(&dev, &fs, 8, 48, cut, &end, nullptr);
+        RunCommitters(stack, 8, 48, cut, &end, nullptr);
 
-    if (dev.powered()) {
-      dev.CancelScheduledPowerCut();
-      dev.PowerCut(std::max(cut, end));
-    }
-    dev.PowerOn();
+    stack.Crash(std::max(cut, end));
 
-    IoContext io;
+    IoContext& io = stack.io;
     io.AdvanceTo(end + kMillisecond);
-    auto reopened = Database::Open(io, &fs, &fs, GroupCommitDbOptions());
-    ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
-    std::unique_ptr<Database> db = std::move(*reopened);
+    const Status reopened = stack.Open();
+    ASSERT_TRUE(reopened.ok()) << reopened.ToString();
+    Database* db = stack.db();
     if (acked.empty()) continue;  // The cut beat even the first commit.
     auto tree = db->GetTreeId("t");
     ASSERT_TRUE(tree.ok()) << "schema lost despite acked commits";

@@ -286,7 +286,7 @@ TEST(TieredDevice, SixtyInstantPowerCutSweepLosesNoAckedSector) {
       tier->CancelScheduledPowerCut();
       tier->PowerCut(std::max(cut, t));
     } else {
-      EXPECT_GT(tier->stats().scheduled_cuts_tripped, 0u);
+      EXPECT_GT(tier->scheduled_cuts_tripped(), 0u);
     }
 
     tier->PowerOn();

@@ -1,10 +1,10 @@
 #include <gtest/gtest.h>
 
-#include <memory>
 
 #include "host/sim_file.h"
 #include "kv/kvstore.h"
 #include "sim/client_scheduler.h"
+#include "sim/stack.h"
 #include "ssd/device_factory.h"
 #include "ssd/ssd_config.h"
 #include "ssd/ssd_device.h"
@@ -127,37 +127,38 @@ TEST(FioSimTest, SmallerPagesGiveHigherReadIops) {
 
 // --------------------------- LinkBench ------------------------------------
 
-struct DbFixture {
-  DbFixture(bool barriers, bool dwb, uint32_t page_size = 4096) {
-    SsdConfig dc = SsdConfig::DuraSsd();
-    dc.geometry = FlashGeometry::Tiny();
-    dc.geometry.blocks_per_plane = 256;
-    dc.geometry.pages_per_block = 32;
-    device = std::make_unique<SsdDevice>(dc);
-    SimFileSystem::Options fso;
-    fso.write_barriers = barriers;
-    fs = std::make_unique<SimFileSystem>(device.get(), fso);
-    Database::Options dbo;
-    dbo.page_size = page_size;
-    dbo.pool_bytes = 2 * kMiB;
-    dbo.double_write = dwb;
-    auto opened = Database::Open(io, fs.get(), fs.get(), dbo);
-    EXPECT_TRUE(opened.ok());
-    db = std::move(*opened);
-  }
-  IoContext io;
-  std::unique_ptr<SsdDevice> device;
-  std::unique_ptr<SimFileSystem> fs;
-  std::unique_ptr<Database> db;
-};
+/// A DuraSSD with the tiny geometry (256 blocks per plane) running `engine`.
+StackSpec TinySpec(StackSpec::Engine engine) {
+  StackSpec spec;
+  spec.ssd.geometry = FlashGeometry::Tiny();
+  spec.ssd.geometry.blocks_per_plane = 256;
+  spec.ssd.geometry.pages_per_block = 32;
+  spec.engine = engine;
+  return spec;
+}
+
+StackSpec DbSpec(bool barriers, bool dwb) {
+  StackSpec spec = TinySpec(StackSpec::Engine::kDatabase);
+  spec.fs.write_barriers = barriers;
+  spec.db.pool_bytes = 2 * kMiB;
+  spec.db.double_write = dwb;
+  return spec;
+}
+
+StackSpec KvSpec(uint32_t batch_size) {
+  StackSpec spec = TinySpec(StackSpec::Engine::kKvStore);
+  spec.kv.batch_size = batch_size;
+  return spec;
+}
 
 TEST(LinkBenchTest, LoadsAndRunsAllOpTypes) {
-  DbFixture f(false, false);
+  Stack f(DbSpec(false, false));
+  ASSERT_TRUE(f.Open().ok());
   LinkBench::Config lc;
   lc.num_nodes = 2000;
   lc.clients = 8;
   lc.requests = 3000;
-  LinkBench bench(f.db.get(), lc);
+  LinkBench bench(f.db(), lc);
   ASSERT_TRUE(bench.Load(f.io).ok());
   auto result = bench.Run();
   ASSERT_TRUE(result.ok());
@@ -175,12 +176,13 @@ TEST(LinkBenchTest, LoadsAndRunsAllOpTypes) {
 TEST(LinkBenchTest, BarriersOffIsFaster) {
   double tps[2];
   for (int barriers = 0; barriers < 2; ++barriers) {
-    DbFixture f(barriers == 1, true);
+    Stack f(DbSpec(barriers == 1, true));
+    ASSERT_TRUE(f.Open().ok());
     LinkBench::Config lc;
     lc.num_nodes = 2000;
     lc.clients = 16;
     lc.requests = 2000;
-    LinkBench bench(f.db.get(), lc);
+    LinkBench bench(f.db(), lc);
     ASSERT_TRUE(bench.Load(f.io).ok());
     tps[barriers] = (*bench.Run()).tps;
   }
@@ -198,23 +200,14 @@ TEST(LinkBenchTest, OpNamesAndMixAreComplete) {
 // --------------------------- YCSB -----------------------------------------
 
 TEST(YcsbTest, RunsAgainstKvStore) {
-  SsdConfig dc = SsdConfig::DuraSsd();
-  dc.geometry = FlashGeometry::Tiny();
-  dc.geometry.blocks_per_plane = 256;
-  dc.geometry.pages_per_block = 32;
-  SsdDevice dev(dc);
-  SimFileSystem fs(&dev, SimFileSystem::Options{});
-  IoContext io;
-  KvStore::Options ko;
-  ko.batch_size = 10;
-  auto store = KvStore::Open(io, &fs, "y.couch", ko);
-  ASSERT_TRUE(store.ok());
+  Stack s(KvSpec(10));
+  ASSERT_TRUE(s.Open().ok());
 
   Ycsb::Config yc;
   yc.records = 2000;
   yc.operations = 3000;
-  Ycsb bench(store->get(), yc);
-  ASSERT_TRUE(bench.Load(io).ok());
+  Ycsb bench(s.kv(), yc);
+  ASSERT_TRUE(bench.Load(s.io).ok());
   auto result = bench.Run();
   ASSERT_TRUE(result.ok());
   EXPECT_GT(result->ops_per_sec, 0);
@@ -226,24 +219,15 @@ TEST(YcsbTest, RunsAgainstKvStore) {
 }
 
 TEST(YcsbTest, CountsFailedOpsButNotMissingKeys) {
-  SsdConfig dc = SsdConfig::DuraSsd();
-  dc.geometry = FlashGeometry::Tiny();
-  dc.geometry.blocks_per_plane = 256;
-  dc.geometry.pages_per_block = 32;
-  SsdDevice dev(dc);
-  SimFileSystem fs(&dev, SimFileSystem::Options{});
-  IoContext io;
-  KvStore::Options ko;
-  ko.batch_size = 1;  // Every update commits, so every update fails below.
-  auto store = KvStore::Open(io, &fs, "y.couch", ko);
-  ASSERT_TRUE(store.ok());
+  Stack s(KvSpec(1));  // Every update commits, so every update fails below.
+  ASSERT_TRUE(s.Open().ok());
 
   // Nothing loaded: every read is NotFound, which is not a failure.
   Ycsb::Config reads;
   reads.records = 500;
   reads.operations = 200;
   reads.update_fraction = 0.0;
-  auto miss = Ycsb(store->get(), reads).Run();
+  auto miss = Ycsb(s.kv(), reads).Run();
   ASSERT_TRUE(miss.ok());
   EXPECT_EQ(miss->read_latency.count(), 200u);
   EXPECT_EQ(miss->failed_ops, 0u);
@@ -251,9 +235,9 @@ TEST(YcsbTest, CountsFailedOpsButNotMissingKeys) {
   // Device off: every update fails, and so do reads of the committed file.
   Ycsb::Config mixed = reads;
   mixed.update_fraction = 0.5;
-  Ycsb bench(store->get(), mixed);
-  ASSERT_TRUE(bench.Load(io).ok());
-  dev.PowerCut(io.now);
+  Ycsb bench(s.kv(), mixed);
+  ASSERT_TRUE(bench.Load(s.io).ok());
+  s.dev()->PowerCut(s.io.now);
   auto failed = bench.Run();
   ASSERT_TRUE(failed.ok());
   EXPECT_GT(failed->update_latency.count(), 0u);
@@ -265,22 +249,14 @@ TEST(YcsbTest, LargerBatchIsFaster) {
   double ops[2];
   int i = 0;
   for (uint32_t batch : {1u, 50u}) {
-    SsdConfig dc = SsdConfig::DuraSsd();
-    dc.geometry = FlashGeometry::Tiny();
-    dc.geometry.blocks_per_plane = 256;
-    dc.geometry.pages_per_block = 32;
-    SsdDevice dev(dc);
-    SimFileSystem fs(&dev, SimFileSystem::Options{});
-    IoContext io;
-    KvStore::Options ko;
-    ko.batch_size = batch;
-    auto store = KvStore::Open(io, &fs, "y.couch", ko);
+    Stack s(KvSpec(batch));
+    ASSERT_TRUE(s.Open().ok());
     Ycsb::Config yc;
     yc.records = 1000;
     yc.operations = 1500;
     yc.update_fraction = 1.0;
-    Ycsb bench(store->get(), yc);
-    ASSERT_TRUE(bench.Load(io).ok());
+    Ycsb bench(s.kv(), yc);
+    ASSERT_TRUE(bench.Load(s.io).ok());
     ops[i++] = (*bench.Run()).ops_per_sec;
   }
   EXPECT_GT(ops[1], ops[0] * 3);  // Table 5's effect.
@@ -289,14 +265,15 @@ TEST(YcsbTest, LargerBatchIsFaster) {
 // --------------------------- TPC-C -----------------------------------------
 
 TEST(TpccTest, LoadsAndRunsAllTransactionTypes) {
-  DbFixture f(false, false);
+  Stack f(DbSpec(false, false));
+  ASSERT_TRUE(f.Open().ok());
   Tpcc::Config tc;
   tc.warehouses = 2;
   tc.items = 500;
   tc.customers_per_district = 30;
   tc.clients = 8;
   tc.transactions = 2000;
-  Tpcc bench(f.db.get(), tc);
+  Tpcc bench(f.db(), tc);
   ASSERT_TRUE(bench.Load(f.io).ok());
   auto result = bench.Run();
   ASSERT_TRUE(result.ok());
@@ -310,14 +287,15 @@ TEST(TpccTest, LoadsAndRunsAllTransactionTypes) {
 TEST(TpccTest, BarrierOffBeatsBarrierOn) {
   double tpmc[2];
   for (int barriers = 0; barriers < 2; ++barriers) {
-    DbFixture f(barriers == 1, false);
+    Stack f(DbSpec(barriers == 1, false));
+    ASSERT_TRUE(f.Open().ok());
     Tpcc::Config tc;
     tc.warehouses = 2;
     tc.items = 500;
     tc.customers_per_district = 30;
     tc.clients = 8;
     tc.transactions = 1000;
-    Tpcc bench(f.db.get(), tc);
+    Tpcc bench(f.db(), tc);
     ASSERT_TRUE(bench.Load(f.io).ok());
     tpmc[barriers] = (*bench.Run()).tpmc;
   }
