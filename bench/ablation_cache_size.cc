@@ -64,6 +64,7 @@ void RunRow(const char* label, uint32_t sectors, bool lazy, uint64_t ops,
   job.write_barriers = false;
   job.working_set_bytes = 4 * kMiB;  // Hot set: 1024 4K sectors.
   const FioResult r = RunFio(&dev, job);
+  json->CountFailedOps(r.failed_ops);
   const SsdDevice::Stats& st = dev.stats();
   printf("  %-22s %10.0f %12.0f %12.0f %10llu %10llu %10llu\n", label,
          r.iops, static_cast<double>(r.latency.Percentile(50)) / 1e3,
@@ -111,5 +112,5 @@ int main(int argc, char** argv) {
                           durassd::BenchJson::PathFromArgs(argc, argv), quick);
   json.Config("ops", ops);
   durassd::RunSweep(ops, &json);
-  return json.WriteFile() ? 0 : 1;
+  return json.Finish();
 }

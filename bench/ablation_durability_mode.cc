@@ -47,6 +47,7 @@ double RunFsyncIops(DurabilityMode mode, uint64_t ops, BenchJson* json) {
   job.write_barriers = WriteBarriersForDurabilityMode(mode);
   job.barrier_sync = mode == DurabilityMode::kBarrier;
   const FioResult r = RunFio(device.get(), job);
+  json->CountFailedOps(r.failed_ops);
   if (json->enabled()) {
     BenchResult row(std::string("fsync_iops/") + DurabilityModeName(mode));
     row.Param("mode", DurabilityModeName(mode))
@@ -135,5 +136,5 @@ int main(int argc, char** argv) {
                           durassd::BenchJson::PathFromArgs(argc, argv), quick);
   json.Config("fio_ops", fio_ops).Config("commits", commits);
   durassd::Run(fio_ops, commits, &json);
-  return json.WriteFile() ? 0 : 1;
+  return json.Finish();
 }

@@ -46,6 +46,7 @@ double RunOne(uint32_t channels, uint32_t planes_per_chip, bool lazy,
   job.write_barriers = false;
   job.working_set_bytes = 64 * kMiB;
   const FioResult r = RunFio(&dev, job);
+  json->CountFailedOps(r.failed_ops);
   if (json->enabled()) {
     BenchResult row{"channels=" + std::to_string(channels) +
                     "/planes=" + std::to_string(planes_per_chip) +
@@ -99,5 +100,5 @@ int main(int argc, char** argv) {
                           durassd::BenchJson::PathFromArgs(argc, argv), quick);
   json.Config("ops", ops);
   durassd::RunSweep(ops, &json);
-  return json.WriteFile() ? 0 : 1;
+  return json.Finish();
 }

@@ -47,6 +47,7 @@ void RunFioSweep(uint64_t ops, BenchJson* json) {
       job.write_barriers = false;  // The DuraSSD nobarrier deployment.
       job.working_set_bytes = 64 * kMiB;
       const FioResult r = RunFio(&dev, job);
+      json->CountFailedOps(r.failed_ops);
       printf("  %-10s %-4u %12.0f %14.1f %12llu\n",
              ordered ? "ordered" : "unordered", qd, r.iops,
              static_cast<double>(r.latency.Percentile(99)) / 1000.0,
@@ -177,6 +178,6 @@ int main(int argc, char** argv) {
   json.Config("commit_ops", commit_ops);
   durassd::RunFioSweep(fio_ops, &json);
   const bool ok = durassd::RunCommitSweep(commit_ops, &json);
-  const bool written = json.WriteFile();
-  return ok && written ? 0 : 1;
+  const int finished = json.Finish();
+  return ok ? finished : 1;
 }

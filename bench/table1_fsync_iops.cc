@@ -36,6 +36,7 @@ std::vector<double> RunSweep(DeviceModel model, const char* device_name,
     job.fsync_every = every;
     job.write_barriers = barriers;
     const FioResult r = RunFio(device.get(), job);
+    json->CountFailedOps(r.failed_ops);
     out.push_back(r.iops);
     if (json->enabled()) {
       BenchResult row(std::string(device_name) + "/" +
@@ -106,5 +107,5 @@ int main(int argc, char** argv) {
                           durassd::BenchJson::PathFromArgs(argc, argv), quick);
   json.Config("ops", ops).Config("block_bytes", uint64_t{4 * durassd::kKiB});
   durassd::RunTable(ops, &json);
-  return json.WriteFile() ? 0 : 1;
+  return json.Finish();
 }

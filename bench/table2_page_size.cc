@@ -28,6 +28,7 @@ double RunOne(const char* label, DeviceModel model, FioJob::Mode mode,
   job.fsync_every = fsync_every;
   job.write_barriers = barriers;
   const FioResult r = RunFio(device.get(), job);
+  if (g_json != nullptr) g_json->CountFailedOps(r.failed_ops);
   if (g_json != nullptr && g_json->enabled()) {
     BenchResult row(std::string(label) + "/block=" +
                     std::to_string(block / kKiB) + "KB");
@@ -108,5 +109,5 @@ int main(int argc, char** argv) {
   json.Config("ops", ops);
   durassd::g_json = &json;
   durassd::RunTable(ops);
-  return json.WriteFile() ? 0 : 1;
+  return json.Finish();
 }

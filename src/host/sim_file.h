@@ -133,9 +133,6 @@ class SimFileSystem {
  public:
   struct Options {
     bool write_barriers = true;
-    /// Journal sectors written per fsync (ext4 ~ one descriptor+commit; we
-    /// default to 1 like a small ordered-journal transaction).
-    uint32_t journal_sectors_per_sync = 1;
     /// Extent chunk size in sectors (1024 x 4KB = 4 MiB).
     uint32_t chunk_sectors = 1024;
     /// Sectors reserved at LPN 0 for the journal ring.

@@ -15,6 +15,9 @@ constexpr uint8_t kChunkDoc = 1;
 constexpr uint8_t kChunkNode = 2;
 // Chunk framing: [total_len u32][crc u32][type u8][body].
 constexpr uint32_t kChunkOverhead = 9;
+constexpr uint32_t kNodeSize = 4 * kKiB;  ///< B+-tree node target size.
+/// auto_compact compacts once garbage exceeds this fraction of the file.
+constexpr double kCompactGarbageRatio = 0.7;
 }  // namespace
 
 uint32_t KvStore::Node::SerializedSize() const {
@@ -278,7 +281,7 @@ Status KvStore::CowInsertRec(IoContext& io, NodeRef ref, Slice key,
   }
 
   // Serialize (splitting if oversized).
-  if (node.SerializedSize() > opts_.node_size && node.entries.size() >= 2) {
+  if (node.SerializedSize() > kNodeSize && node.entries.size() >= 2) {
     Node right;
     right.leaf = node.leaf;
     const size_t mid = node.entries.size() / 2;
@@ -481,7 +484,7 @@ Status KvStore::Commit(IoContext& io) {
   if (opts_.auto_compact && file_bytes() > 0 &&
       static_cast<double>(live_bytes_) <
           static_cast<double>(file_bytes()) *
-              (1.0 - opts_.compact_garbage_ratio)) {
+              (1.0 - kCompactGarbageRatio)) {
     return Compact(io);
   }
   return Status::OK();

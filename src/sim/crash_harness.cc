@@ -308,7 +308,6 @@ StackSpec CrashHarness::Options::Spec() const {
     tc.flash.capacitor_budget_bytes = dc.capacitor_budget_bytes;
     tc.flash.faults = dc.faults;
     tc.flash.ecc_correctable_bits = dc.ecc_correctable_bits;
-    tc.capacity_is_hdd = true;
     tc.capacity_hdd.num_sectors = 16384;  // 64 MiB capacity tier.
     tc.flash_pct = tier_flash_pct;
     tc.admission = tier_admission == 0

@@ -245,11 +245,19 @@ class SsdDevice : public BlockDevice, private DestageScheduler::Sink {
   /// power-cut rollback — is counted torn and its rolled-back sectors are
   /// simply skipped. Returns the virtual time the scan+validation cost.
   SimTime RecoverCache();
+  /// Pops every outstanding program completed by t, freeing its frame.
+  void ReapOutstanding(SimTime t);
+  /// Counts one destage drain round and traces it with its trigger
+  /// (0=batch, 1=idle, 2=pressure, 3=flush or shutdown).
+  void NoteDestageBatch(SimTime t, uint64_t trigger);
   /// Blocks until a write-buffer frame is free; returns the (possibly
   /// delayed) time at which the frame was obtained. In lazy mode, frames
   /// are held by both in-flight programs (outstanding_) and pending
   /// scheduler sectors; pressure first converts pending into programs.
   SimTime AcquireFrame(SimTime t);
+  /// The FTL writes for `group`, pointing at its cache entries' bytes.
+  std::vector<Ftl::SectorWrite> SectorWrites(
+      const std::vector<Lpn>& group) const;
   /// Destages `group` (1..sectors_per_page sectors) at time t, updating the
   /// cache entries' program windows.
   Status DestageGroup(SimTime t, const std::vector<Lpn>& group);
@@ -279,6 +287,9 @@ class SsdDevice : public BlockDevice, private DestageScheduler::Sink {
   void DumpOnCapacitor(
       SimTime t, const std::vector<std::pair<Lpn, const std::string*>>& to_dump);
   SimTime ReplayDump();
+  /// Puts back the one-deep history: the previously acknowledged version,
+  /// not yet programmed.
+  static void RestorePrevious(CacheEntry& e);
   /// Removes the cache entries a failed write command inserted (restoring
   /// the one-deep history), so un-destaged data from a rejected command
   /// cannot be dumped or served later.

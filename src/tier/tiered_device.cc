@@ -33,16 +33,10 @@ TieredDevice::TieredDevice(TieredConfig config) : cfg_(std::move(config)) {
   cfg_.flash.cache_enabled = true;
   store_data_ = cfg_.flash.store_data;
   cfg_.capacity_hdd.store_data = store_data_;
-  cfg_.capacity_ssd.store_data = store_data_;
   cfg_.capacity_hdd.sector_size = cfg_.flash.sector_size;
-  cfg_.capacity_ssd.sector_size = cfg_.flash.sector_size;
 
   flash_ = std::make_unique<SsdDevice>(cfg_.flash);
-  if (cfg_.capacity_is_hdd) {
-    capacity_ = std::make_unique<HddDevice>(cfg_.capacity_hdd);
-  } else {
-    capacity_ = std::make_unique<SsdDevice>(cfg_.capacity_ssd);
-  }
+  capacity_ = std::make_unique<HddDevice>(cfg_.capacity_hdd);
   capacity_sectors_ = capacity_->num_sectors();
 
   // Size the cache and the map ring. The ring must hold two full
@@ -912,7 +906,6 @@ TieredConfig TieredDefaults(DeviceModel flash_model, bool store_data) {
                                /*cache_on=*/true, store_data);
   tc.flash.durable_cache = true;
   tc.flash.ordered_queue = true;
-  tc.capacity_is_hdd = true;
   tc.capacity_hdd = HddConfigForModel(/*cache_on=*/true, store_data);
   return tc;
 }

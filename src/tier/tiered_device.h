@@ -21,17 +21,12 @@ namespace durassd {
 /// Configuration of a TieredDevice: a small durable-cache flash tier
 /// fronting a large, cheap capacity tier (FaCE-style flash extended cache).
 struct TieredConfig {
-  std::string name = "Tiered";
-
   /// The flash tier. Must be a durable-cache, ordered-queue config (the
   /// persistent directory's commit-point semantics rely on both).
   SsdConfig flash = SsdConfig::DuraSsd();
 
-  /// The capacity tier: the HDD model by default, or a commodity
-  /// volatile-cache SSD when capacity_is_hdd is false.
-  bool capacity_is_hdd = true;
+  /// The capacity tier: the HDD model (the disk FaCE fronts).
   HddDevice::Config capacity_hdd;
-  SsdConfig capacity_ssd = SsdConfig::SsdA();
 
   /// Cache size as a percentage of the capacity tier, clamped to what the
   /// flash tier can actually hold after the map region is carved out.
@@ -289,7 +284,7 @@ class TieredDevice : public BlockDevice {
   TieredConfig cfg_;
   MetricsRegistry metrics_;
   std::unique_ptr<SsdDevice> flash_;
-  std::unique_ptr<BlockDevice> capacity_;
+  std::unique_ptr<HddDevice> capacity_;
   uint64_t capacity_sectors_ = 0;
 
   // --- Directory ---

@@ -27,6 +27,7 @@ FioResult RunFio(BlockDevice* device, const FioJob& job) {
   // Read jobs precondition the file first (otherwise reads hit unmapped
   // sectors, which cost no media time); the preconditioning writes are
   // excluded from the measurement by starting the clock after a drain.
+  FioResult result;
   SimTime start_time = 0;
   if (job.mode == FioJob::Mode::kRandRead) {
     // Large sequential writes amortize per-command cost.
@@ -36,7 +37,10 @@ FioResult RunFio(BlockDevice* device, const FioJob& job) {
     for (uint64_t b = 0; b + batch <= blocks; b += batch) {
       const SimFile::IoResult w =
           file->Write(t, b * job.block_bytes, big);
-      if (!w.status.ok()) break;
+      if (!w.status.ok()) {
+        result.failed_ops++;
+        break;
+      }
       t = w.done;
     }
     const BlockDevice::Result f = device->Flush(t);
@@ -47,13 +51,13 @@ FioResult RunFio(BlockDevice* device, const FioJob& job) {
   // keeps the device's queue full; latency is measured per command from
   // submission to completion.
   if (job.mode == FioJob::Mode::kRandWrite && job.iodepth > 1) {
-    FioResult result;
     Random rng(job.seed);
     SimTime now = start_time;
     uint32_t since_fsync = 0;
     const auto reap = [&](SimTime upto) {
       for (const SimFile::Completion& c : file->Poll(upto)) {
         result.latency.Record(c.done - c.submit);
+        if (!c.status.ok()) result.failed_ops++;
       }
     };
     const auto drain = [&] {
@@ -74,7 +78,11 @@ FioResult RunFio(BlockDevice* device, const FioJob& job) {
         drain();
         const SimFile::IoResult s =
             job.barrier_sync ? file->Barrier(now) : file->Sync(now);
-        if (s.status.ok()) now = std::max(now, s.done);
+        if (s.status.ok()) {
+          now = std::max(now, s.done);
+        } else {
+          result.failed_ops++;
+        }
       }
     }
     drain();
@@ -96,7 +104,6 @@ FioResult RunFio(BlockDevice* device, const FioJob& job) {
     rngs.emplace_back(job.seed + t * 7919);
   }
 
-  FioResult result;
   const auto client_fn = [&](uint32_t client, SimTime now) -> SimTime {
     Random& rng = rngs[client];
     const uint64_t offset = rng.Uniform(blocks) * job.block_bytes;
@@ -104,17 +111,20 @@ FioResult RunFio(BlockDevice* device, const FioJob& job) {
     if (job.mode == FioJob::Mode::kRandWrite) {
       const SimFile::IoResult w = file->Write(now, offset, payload);
       done = w.done;
+      if (!w.status.ok()) result.failed_ops++;
       if (job.fsync_every != 0 &&
           ++since_fsync[client] >= job.fsync_every) {
         since_fsync[client] = 0;
         const SimFile::IoResult s =
             job.barrier_sync ? file->Barrier(done) : file->Sync(done);
         done = s.done;
+        if (!s.status.ok()) result.failed_ops++;
       }
     } else {
       const SimFile::IoResult r =
           file->Read(now, offset, job.block_bytes, nullptr);
       done = r.done;
+      if (!r.status.ok()) result.failed_ops++;
     }
     result.latency.Record(done - now);
     return done;

@@ -42,6 +42,9 @@ struct FioResult {
   double iops = 0;
   SimTime duration = 0;
   Histogram latency;
+  /// Writes, reads, syncs, barriers and async completions that returned a
+  /// non-OK status (preconditioning writes included).
+  uint64_t failed_ops = 0;
 };
 
 /// Runs the job against the device. The device should usually be in

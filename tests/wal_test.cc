@@ -120,13 +120,13 @@ TEST_F(WalTest, GenerationFiltersStaleFrames) {
 
 TEST_F(WalTest, TruncateTailPreventsStaleFrameResurrection) {
   IoContext io;
-  // Padding off: the scenario below needs byte-exact frame alignment, and
-  // the resurrection hazard it guards against is independent of sector
-  // sealing (the hole is torn *between* surviving frames of one sync).
-  Wal wal(fs_->Open("wal2.log"), Wal::Options{64 * kMiB, nullptr, 0});
+  // The resurrection hazard is independent of sector sealing (the hole is
+  // torn *between* surviving frames of one sync), so the new life below
+  // writes its frame without the sync's padding to get byte-exact frame
+  // alignment.
+  Wal wal(fs_->Open("wal2.log"), Wal::Options{});
   Wal* w = &wal;
-  // Durable prefix: one 40-byte frame ("a"/"1": 12-byte header + 28
-  // payload... sizes asserted below, the alignment is the whole point).
+  // Durable prefix: one frame, padded to the sector boundary by the sync.
   w->Append(Put(1, "a", "1"));
   ASSERT_TRUE(w->SyncTo(io, w->next_lsn()).ok());
 
@@ -153,7 +153,7 @@ TEST_F(WalTest, TruncateTailPreventsStaleFrameResurrection) {
   // matches "victim"/"x"), so without the truncation the read cursor would
   // land precisely on the stranded intact frame and resurrect "stale".
   const Lsn fresh = w->Append(Put(4, "kk", "zzzzz"));
-  ASSERT_TRUE(w->SyncTo(io, w->next_lsn()).ok());
+  ASSERT_TRUE(w->WriteOut(io).ok());
   ASSERT_EQ(w->next_lsn(), stale);  // The dangerous alignment holds.
 
   std::vector<WalRecord> again;
